@@ -17,7 +17,7 @@ use mdw_rdf::vocab;
 
 fn bench_index_vs_fullscan(c: &mut Criterion) {
     let loaded = load_scale(Scale::Medium);
-    let store = loaded.warehouse.store();
+    let store = loaded.warehouse.published();
     let graph = store.model(loaded.warehouse.model_name()).unwrap();
     let dict = store.dict();
 

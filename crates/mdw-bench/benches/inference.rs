@@ -16,11 +16,11 @@ fn loaded_store(scale: Scale) -> (Store, Rulebase) {
     let mut store = Store::new();
     store.create_model("m").unwrap();
     let rb = Rulebase::owlprime(store.dict_mut());
-    let mut staging = mdw_rdf::StagingArea::new();
     for extract in corpus.into_extracts() {
-        staging.stage_batch(&extract.source, extract.triples);
+        for (s, p, o) in &extract.triples {
+            store.insert("m", s, p, o).unwrap();
+        }
     }
-    staging.bulk_load(&mut store, "m").unwrap();
     (store, rb)
 }
 
@@ -37,7 +37,7 @@ fn bench_materialize(c: &mut Criterion) {
             |b, (store, rb)| {
                 b.iter(|| {
                     let m = Materialization::materialize(
-                        store.model("m").unwrap(),
+                        &store.model("m").unwrap().freeze(),
                         rb,
                         store.dict(),
                     );
@@ -58,15 +58,15 @@ fn bench_rdfs_vs_owlprime(c: &mut Criterion) {
     store.create_model("m").unwrap();
     let rdfs = Rulebase::rdfs(store.dict_mut());
     let owl = Rulebase::owlprime(store.dict_mut());
-    let mut staging = mdw_rdf::StagingArea::new();
     for extract in corpus.into_extracts() {
-        staging.stage_batch(&extract.source, extract.triples);
+        for (s, p, o) in &extract.triples {
+            store.insert("m", s, p, o).unwrap();
+        }
     }
-    staging.bulk_load(&mut store, "m").unwrap();
     for (name, rb) in [("rdfs", &rdfs), ("owlprime", &owl)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                Materialization::materialize(store.model("m").unwrap(), rb, store.dict())
+                Materialization::materialize(&store.model("m").unwrap().freeze(), rb, store.dict())
                     .derived()
                     .len()
             })
@@ -79,7 +79,7 @@ fn bench_incremental_extend(c: &mut Criterion) {
     // One new typed column arriving after the index is built — the hot path
     // of insert_fact between releases.
     let (mut store, rb) = loaded_store(Scale::Medium);
-    let m0 = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+    let m0 = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
     let new_subject = Term::iri(vocab::cs::dwh("bench/new_col"));
     let ty = Term::iri(vocab::rdf::TYPE);
     let class = Term::iri(vocab::cs::dm("Column"));
@@ -92,7 +92,7 @@ fn bench_incremental_extend(c: &mut Criterion) {
     c.bench_function("inference_incremental/one_fact", |b| {
         b.iter(|| {
             let mut m = m0.clone();
-            m.extend(store.model("m").unwrap(), &rb, store.dict(), &[t]);
+            m.extend(&store.model("m").unwrap().freeze(), &rb, store.dict(), &[t]);
             m.derived().len()
         })
     });

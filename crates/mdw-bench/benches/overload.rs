@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use mdw_bench::setup::load_scale;
 use mdw_core::admission::AdmissionConfig;
-use mdw_core::budget::{MonotonicTime, QueryBudget};
+use mdw_rdf::budget::{MonotonicTime, QueryBudget};
 use mdw_core::error::MdwError;
 use mdw_core::lineage::LineageRequest;
 use mdw_core::search::SearchRequest;

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use mdw_core::resilience::{failpoint, FailSpec, RetryPolicy, TestClock};
+use mdw_core::resilience::{failpoint, FailSpec, RetryPolicy, ManualTime};
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_corpus::{generate, CorpusConfig};
 
@@ -37,7 +37,7 @@ fn bench_resilient_ingest(c: &mut Criterion) {
                             FailSpec::Probability { pct: failure_pct, seed: 0x5eed },
                         );
                     }
-                    let clock = TestClock::new();
+                    let clock = ManualTime::new();
                     let mut w = MetadataWarehouse::new();
                     let report = w
                         .ingest_resilient(extracts.clone(), &policy, &clock)

@@ -7,7 +7,7 @@
 //! bound-predicate, and bound-object prefix scans — the shapes the query
 //! layers (search, lineage, SPARQL) actually issue — run at 1 and 8 reader
 //! threads. The lock-based variant takes a fresh read lock per scan, exactly
-//! as the seed `SharedStore` did; the frozen variant clones an `Arc` once
+//! as the seed's locked store did; the frozen variant clones an `Arc` once
 //! per thread and never synchronizes again.
 
 use std::sync::Arc;
@@ -32,9 +32,9 @@ fn table1_graph() -> Arc<FrozenGraph> {
     warehouse
         .ingest(corpus.into_extracts())
         .expect("corpus ingests cleanly");
-    let frozen = warehouse.store().freeze();
     Arc::clone(
-        frozen
+        warehouse
+            .published()
             .model_arc(warehouse.model_name())
             .expect("current model present"),
     )
@@ -103,7 +103,11 @@ fn scan_locked(lock: &RwLock<TripleIndex>, patterns: &[TriplePattern]) -> u64 {
 fn bench_snapshot_scan(c: &mut Criterion) {
     let graph = table1_graph();
     let patterns = sample_patterns(&graph);
-    let locked = RwLock::new(graph.index().thaw());
+    let mut index = TripleIndex::new();
+    for t in graph.iter() {
+        index.insert(t);
+    }
+    let locked = RwLock::new(index);
     let total_rows: usize = patterns
         .iter()
         .map(|&p| graph.index().count_exact(p))

@@ -26,7 +26,7 @@
 use std::time::{Duration, Instant};
 
 use mdw_bench::setup::{load_scale, parse_scale};
-use mdw_core::budget::QueryBudget;
+use mdw_rdf::budget::QueryBudget;
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_corpus::Scale;
 use mdw_rdf::store::Store;

@@ -132,7 +132,7 @@ pub fn fig2_flow() -> String {
 /// (hierarchy / meta-data schema / facts).
 pub fn fig3_snippet() -> String {
     let w = fig2::warehouse();
-    let store = w.store();
+    let store = w.published();
     let graph = store.model(w.model_name()).expect("model");
     let nodes = mdw_core::model::classify_nodes(graph, store.dict());
     let c = census(graph, store.dict());
@@ -165,7 +165,7 @@ pub fn fig3_snippet() -> String {
 /// Re-derives the edge category of one triple (mirrors the census logic for
 /// display purposes).
 fn edge_category_of(
-    store: &mdw_rdf::Store,
+    store: &mdw_rdf::FrozenStore,
     nodes: &mdw_core::model::NodeClassification,
     t: mdw_rdf::Triple,
 ) -> EdgeCategory {

@@ -1,6 +1,6 @@
 //! Admission control: the warehouse's front door under load.
 //!
-//! Budgets ([`crate::budget`]) bound what one query may consume; admission
+//! Budgets ([`mdw_rdf::budget`]) bound what one query may consume; admission
 //! control bounds how many queries run at once. The paper's services sit in
 //! front of a shared graph that "heavy traffic from millions of users"
 //! (ROADMAP north star) can easily melt, so the gate:
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::budget::TimeSource;
+use mdw_rdf::budget::TimeSource;
 
 /// The workload classes the gate distinguishes, mirroring the paper's two
 /// production services plus the raw SPARQL endpoint.
@@ -532,8 +532,7 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::ManualTime;
-    use crate::resilience::TestClock;
+    use mdw_rdf::budget::ManualTime;
 
     fn gate(total: usize, per_class: usize, queued: usize) -> AdmissionController {
         AdmissionController::new(AdmissionConfig {
@@ -827,14 +826,14 @@ mod tests {
     }
 
     #[test]
-    fn breaker_runs_on_test_clock_too() {
-        let clock = Arc::new(TestClock::new());
+    fn breaker_cooldown_elapses_through_a_clock_sleep() {
+        let clock = Arc::new(ManualTime::new());
         let b = CircuitBreaker::new(BreakerConfig::default(), clock.clone());
         for _ in 0..3 {
             b.record_failure();
         }
         assert!(!b.allow());
-        clock.advance(BreakerConfig::default().cooldown);
+        crate::resilience::Clock::sleep(&*clock, BreakerConfig::default().cooldown);
         assert!(b.allow());
     }
 

@@ -43,7 +43,7 @@ use mdw_rdf::QueryContext;
 use mdw_reason::EntailedGraph;
 use mdw_sparql::{ExplainReport, QueryOutput, SemMatch};
 
-use crate::budget::{Completeness, QueryBudget, TruncationReason};
+use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use crate::synonyms::{normalize, SynonymTable};
 
 /// Candidates executed unless the caller overrides `top_k`.
@@ -1046,7 +1046,7 @@ mod tests {
         for (s, p, o) in triples {
             store.insert("m", &s, &p, &o).unwrap();
         }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         (store, m)
     }
 

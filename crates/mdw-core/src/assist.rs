@@ -251,7 +251,7 @@ mod tests {
     fn mart_items_rank_first() {
         let w = warehouse();
         let view = w.entailed().unwrap();
-        let result = find_sources(&view, w.store().dict(), &dm("Party"));
+        let result = find_sources(&view, w.published().dict(), &dm("Party"));
         assert_eq!(result.candidates.len(), 3);
         // The mart item representing the SUBconcept ranks first — found
         // through the hierarchy, ranked by area + level + reuse.
@@ -266,10 +266,10 @@ mod tests {
     fn subconcepts_are_searched() {
         let w = warehouse();
         let view = w.entailed().unwrap();
-        let result = find_sources(&view, w.store().dict(), &dm("Party"));
+        let result = find_sources(&view, w.published().dict(), &dm("Party"));
         assert!(result.expanded_concepts.contains(&dm("Individual")));
         // Asking for the subconcept directly finds only its item.
-        let narrow = find_sources(&view, w.store().dict(), &dm("Individual"));
+        let narrow = find_sources(&view, w.published().dict(), &dm("Individual"));
         assert_eq!(narrow.candidates.len(), 1);
         assert_eq!(narrow.candidates[0].item, dwh("mart_item"));
     }
@@ -278,7 +278,7 @@ mod tests {
     fn unknown_concept_is_empty_with_message() {
         let w = warehouse();
         let view = w.entailed().unwrap();
-        let result = find_sources(&view, w.store().dict(), &dm("Derivative"));
+        let result = find_sources(&view, w.published().dict(), &dm("Derivative"));
         assert!(result.candidates.is_empty());
         let text = render_sources(&result);
         assert!(text.contains("not in the DWH"));
@@ -288,7 +288,7 @@ mod tests {
     fn rendering_lists_ranked_candidates() {
         let w = warehouse();
         let view = w.entailed().unwrap();
-        let result = find_sources(&view, w.store().dict(), &dm("Party"));
+        let result = find_sources(&view, w.published().dict(), &dm("Party"));
         let text = render_sources(&result);
         assert!(text.contains("Data sources for concept Party"));
         assert!(text.contains("mart_item"));

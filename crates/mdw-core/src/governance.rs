@@ -349,7 +349,7 @@ mod tests {
 
     fn audit(w: &MetadataWarehouse, item: &Term) -> AccessReport {
         let view = w.entailed().unwrap();
-        who_can_access(&view, w.store().dict(), item)
+        who_can_access(&view, w.published().dict(), item)
     }
 
     #[test]
@@ -423,7 +423,7 @@ mod tests {
         .unwrap();
         w.build_semantic_index().unwrap();
         let view = w.entailed().unwrap();
-        let gaps = ownerless_items(&view, w.store().dict());
+        let gaps = ownerless_items(&view, w.published().dict());
         assert_eq!(gaps.inspected, 2);
         assert_eq!(gaps.ownerless, vec![dwh("orphan")]);
         assert!((gaps.coverage() - 0.5).abs() < 1e-9);
@@ -444,7 +444,7 @@ mod tests {
             w
         };
         let view = w.entailed().unwrap();
-        let gaps = ownerless_items(&view, w.store().dict());
+        let gaps = ownerless_items(&view, w.published().dict());
         // balance has an owner (dave) → no gaps.
         assert_eq!(gaps.inspected, 1);
         assert!(gaps.ownerless.is_empty());

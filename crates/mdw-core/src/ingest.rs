@@ -10,20 +10,25 @@
 //! An [`Extract`] is one converted source export (an application scanner,
 //! the Protégé ontology file, the DBpedia synonym collection — they all
 //! enter through the *same* staging area). [`ingest`] stages every extract
-//! and bulk-loads the staging area into a model, producing an
-//! [`IngestReport`] with per-stage counts and timings — the trace the
-//! Figure 4 reproduction prints.
+//! and bulk-loads the staging area into a model of an [`LsmStore`] — in
+//! bounded group-committed batches, through the store's one write path —
+//! producing an [`IngestReport`] with per-stage counts and timings — the
+//! trace the Figure 4 reproduction prints.
+//!
+//! Both loaders report provenance through a `committed(source, triples)`
+//! callback that fires once a batch is durable, so a caller tracking which
+//! source asserted what (the warehouse's
+//! [`SourceRegistry`](crate::sync::SourceRegistry)) never records a
+//! triple that a failed write left out of the graph.
 
 use std::time::{Duration, Instant};
 
 use mdw_rdf::failpoint;
-use mdw_rdf::journal::JournalOp;
 use mdw_rdf::lsm::LsmStore;
 use mdw_rdf::staging::{LoadReport, StagingArea};
-use mdw_rdf::store::Store;
 use mdw_rdf::term::Term;
+use mdw_rdf::triple::Triple;
 use mdw_rdf::turtle;
-use mdw_rdf::RdfError;
 
 use crate::error::MdwError;
 use crate::resilience::{run_with_retry, Clock, RetryPolicy};
@@ -83,12 +88,16 @@ impl IngestReport {
     }
 }
 
-/// Stages all extracts and bulk-loads them into `model` of `store`.
+/// Stages all extracts and bulk-loads them into `model` of `store` (see
+/// [`StagingArea::bulk_load`]); `committed` hears of every durable batch.
 pub fn ingest(
-    store: &mut Store,
+    store: &LsmStore,
     model: &str,
     extracts: Vec<Extract>,
+    committed: impl FnMut(&str, &[Triple]),
 ) -> Result<IngestReport, MdwError> {
+    // A missing model is a caller bug.
+    store.snapshot().model(model)?;
     let mut staging = StagingArea::new();
     let stage_start = Instant::now();
     let mut per_extract = Vec::with_capacity(extracts.len());
@@ -100,7 +109,7 @@ pub fn ingest(
     let staged = staging.len();
 
     let load_start = Instant::now();
-    let load = staging.bulk_load(store, model)?;
+    let load = staging.bulk_load(store, model, committed)?;
     let load_time = load_start.elapsed();
 
     Ok(IngestReport { extracts: per_extract, staged, load, stage_time, load_time })
@@ -194,27 +203,28 @@ impl ResilientIngestReport {
 /// then the generic `ingest::extract`, plus whatever the staging and
 /// persistence layers have armed.
 pub fn ingest_resilient(
-    store: &mut Store,
+    store: &LsmStore,
     model: &str,
     extracts: Vec<Extract>,
     policy: &RetryPolicy,
     clock: &dyn Clock,
+    mut committed: impl FnMut(&str, &[Triple]),
 ) -> Result<ResilientIngestReport, MdwError> {
     // A missing model is a caller bug, not a per-extract fault.
-    store.model(model)?;
+    store.snapshot().model(model)?;
     let mut report = ResilientIngestReport::default();
     for extract in extracts {
         let source = extract.source.clone();
         let triples = extract.triples.len();
         let specific = format!("ingest::extract::{source}");
-        let attempt_once = |store: &mut Store, _attempt: u32| -> Result<LoadReport, MdwError> {
+        let attempt_once = |_attempt: u32| -> Result<LoadReport, MdwError> {
             failpoint::check(&specific)?;
             failpoint::check("ingest::extract")?;
             let mut staging = StagingArea::new();
             staging.stage_batch(&source, extract.triples.clone());
-            Ok(staging.bulk_load(store, model)?)
+            Ok(staging.bulk_load(store, model, &mut committed)?)
         };
-        let outcome = match run_with_retry(policy, clock, |a| attempt_once(store, a)) {
+        let outcome = match run_with_retry(policy, clock, attempt_once) {
             Ok(retried) => {
                 let load = retried.value;
                 let fully_rejected = triples > 0 && load.rejections.len() == triples;
@@ -254,139 +264,24 @@ pub fn ingest_resilient(
     Ok(report)
 }
 
-/// How one extract fared on the streaming (LSM) write path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamStatus {
-    /// The extract was group-committed as one atomic batch; readers that
-    /// observe a snapshot watermark ≥ `seq` see all of its triples.
-    Committed {
-        /// The journal sequence number of the committed batch.
-        seq: u64,
-    },
-    /// The writer stalled at the backpressure gate past its deadline and
-    /// the batch was shed (typed, retryable once compaction drains).
-    Shed {
-        /// Compaction debt (stacked runs) at shed time.
-        debt: usize,
-        /// How long the writer stalled before shedding, in milliseconds.
-        waited_ms: u64,
-    },
-    /// The batch failed validation before touching the journal (e.g. a
-    /// literal subject) — permanent for this extract, nothing was written.
-    Rejected {
-        /// Why validation refused the batch.
-        reason: String,
-    },
-}
-
-/// Per-extract outcome of a streaming ingest.
-#[derive(Debug, Clone)]
-pub struct StreamOutcome {
-    /// Which system produced the extract.
-    pub source: String,
-    /// Triples the extract carried.
-    pub triples: usize,
-    /// What happened to it.
-    pub status: StreamStatus,
-}
-
-/// The trace of one streaming ingest run.
-#[derive(Debug, Clone, Default)]
-pub struct StreamIngestReport {
-    /// One outcome per extract, in delivery order.
-    pub outcomes: Vec<StreamOutcome>,
-    /// Highest journal sequence acknowledged by this run (0 if none).
-    pub last_seq: u64,
-    /// Wall-clock time spent in `write_batch` calls.
-    pub write_time: Duration,
-}
-
-impl StreamIngestReport {
-    /// Extracts that were durably group-committed.
-    pub fn committed(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.status, StreamStatus::Committed { .. }))
-            .count()
-    }
-
-    /// Extracts shed by backpressure (retryable).
-    pub fn shed(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.status, StreamStatus::Shed { .. }))
-            .count()
-    }
-
-    /// Triples durably committed across all extracts.
-    pub fn committed_triples(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.status, StreamStatus::Committed { .. }))
-            .map(|o| o.triples)
-            .sum()
-    }
-
-    /// True if every extract committed.
-    pub fn is_clean(&self) -> bool {
-        self.outcomes
-            .iter()
-            .all(|o| matches!(o.status, StreamStatus::Committed { .. }))
-    }
-}
-
-/// Streams extracts into `model` of an [`LsmStore`]: each extract becomes
-/// one atomic journal batch, and concurrent callers of this function share
-/// fsyncs through the store's group-commit window (the streaming analogue
-/// of the Figure 4 bulk load — sources deliver continuously instead of in
-/// one release drop).
-///
-/// Unlike [`ingest`], the store is shared (`&LsmStore`), so many threads
-/// can stream at once; the LSM write path orders and batches them.
-/// Backpressure sheds ([`RdfError::Backpressure`]) and validation
-/// rejections are per-extract outcomes, not errors — only environmental
-/// failures (I/O, injected faults, corruption) abort the run.
-pub fn ingest_stream(
-    store: &LsmStore,
-    model: &str,
-    extracts: Vec<Extract>,
-) -> Result<StreamIngestReport, MdwError> {
-    let mut report = StreamIngestReport::default();
-    let start = Instant::now();
-    for extract in extracts {
-        let source = extract.source;
-        let triples = extract.triples.len();
-        let ops: Vec<JournalOp> = extract
-            .triples
-            .into_iter()
-            .map(|(s, p, o)| JournalOp::Insert(s, p, o))
-            .collect();
-        let status = match store.write_batch(model, &ops) {
-            Ok(seq) => {
-                report.last_seq = report.last_seq.max(seq);
-                StreamStatus::Committed { seq }
-            }
-            Err(RdfError::Backpressure { debt, waited_ms }) => {
-                StreamStatus::Shed { debt, waited_ms }
-            }
-            Err(RdfError::InvalidTriple { reason }) => StreamStatus::Rejected { reason },
-            Err(e) => return Err(e.into()),
-        };
-        report.outcomes.push(StreamOutcome { source, triples, status });
-    }
-    report.write_time = start.elapsed();
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::LsmConfig;
     use mdw_rdf::vocab;
+
+    /// An in-memory store holding an empty `model` (an empty batch
+    /// creates it).
+    fn store_with_model(model: &str) -> LsmStore {
+        let store = LsmStore::in_memory(LsmConfig { auto_compact: false, ..LsmConfig::default() });
+        store.write_batch(model, &[] as &[JournalOp]).unwrap();
+        store
+    }
 
     #[test]
     fn ingest_multiple_extracts() {
-        let mut store = Store::new();
-        store.create_model("DWH_CURR").unwrap();
+        let store = store_with_model("DWH_CURR");
         let facts = Extract::new(
             "app-scanner",
             vec![(
@@ -403,18 +298,17 @@ mod tests {
                 Term::iri("http://ex.org/Item"),
             )],
         );
-        let report = ingest(&mut store, "DWH_CURR", vec![facts, ontology]).unwrap();
+        let report = ingest(&store, "DWH_CURR", vec![facts, ontology], |_, _| {}).unwrap();
         assert_eq!(report.staged, 2);
         assert_eq!(report.load.loaded, 2);
         assert!(report.is_clean());
         assert_eq!(report.extracts.len(), 2);
-        assert_eq!(store.model("DWH_CURR").unwrap().len(), 2);
+        assert_eq!(store.snapshot().model("DWH_CURR").unwrap().len(), 2);
     }
 
     #[test]
     fn ingest_from_turtle() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
+        let store = store_with_model("m");
         let extract = Extract::from_turtle(
             "ontology-file",
             "@prefix dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#> .\n\
@@ -432,19 +326,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(extract.len(), 1);
-        let report = ingest(&mut store, "m", vec![extract]).unwrap();
+        let report = ingest(&store, "m", vec![extract], |_, _| {}).unwrap();
         assert_eq!(report.load.loaded, 1);
     }
 
     #[test]
     fn rejections_surface_in_report() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
+        let store = store_with_model("m");
         let bad = Extract::new(
             "broken-export",
             vec![(Term::plain("literal-subject"), Term::iri("p"), Term::iri("o"))],
         );
-        let report = ingest(&mut store, "m", vec![bad]).unwrap();
+        let report = ingest(&store, "m", vec![bad], |_, _| {}).unwrap();
         assert!(!report.is_clean());
         assert_eq!(report.load.rejections.len(), 1);
         assert_eq!(report.load.rejections[0].triple.source, "broken-export");
@@ -452,117 +345,14 @@ mod tests {
 
     #[test]
     fn missing_model_is_error() {
-        let mut store = Store::new();
-        let err = ingest(&mut store, "missing", vec![]).unwrap_err();
+        let store = LsmStore::in_memory(LsmConfig::default());
+        let err = ingest(&store, "missing", vec![], |_, _| {}).unwrap_err();
         assert!(matches!(err, MdwError::Rdf(_)));
-    }
-
-    mod stream {
-        use super::*;
-        use mdw_rdf::lsm::LsmConfig;
-
-        fn cfg() -> LsmConfig {
-            LsmConfig { auto_compact: false, ..LsmConfig::default() }
-        }
-
-        #[test]
-        fn extracts_group_commit_and_become_visible() {
-            let store = LsmStore::in_memory(cfg());
-            let extracts = vec![
-                Extract::new(
-                    "scanner",
-                    vec![(
-                        Term::iri("http://ex.org/t1"),
-                        Term::iri(vocab::rdf::TYPE),
-                        Term::iri("http://ex.org/Table"),
-                    )],
-                ),
-                Extract::new(
-                    "protege",
-                    vec![(
-                        Term::iri("http://ex.org/Table"),
-                        Term::iri(vocab::rdfs::SUB_CLASS_OF),
-                        Term::iri("http://ex.org/Item"),
-                    )],
-                ),
-            ];
-            let report = ingest_stream(&store, "DWH_CURR", extracts).unwrap();
-            assert!(report.is_clean());
-            assert_eq!(report.committed(), 2);
-            assert_eq!(report.committed_triples(), 2);
-            assert_eq!(report.last_seq, 2);
-            let snap = store.snapshot();
-            assert_eq!(snap.model("DWH_CURR").unwrap().len(), 2);
-            assert!(snap.watermark() >= report.last_seq);
-        }
-
-        #[test]
-        fn invalid_extract_is_rejected_without_aborting_the_run() {
-            let store = LsmStore::in_memory(cfg());
-            let bad = Extract::new(
-                "broken-export",
-                vec![(Term::plain("lit"), Term::iri("p"), Term::iri("o"))],
-            );
-            let good = Extract::new(
-                "healthy",
-                vec![(
-                    Term::iri("http://ex.org/t"),
-                    Term::iri(vocab::rdf::TYPE),
-                    Term::iri("http://ex.org/Table"),
-                )],
-            );
-            let report = ingest_stream(&store, "m", vec![bad, good]).unwrap();
-            assert!(!report.is_clean());
-            assert!(matches!(
-                report.outcomes[0].status,
-                StreamStatus::Rejected { .. }
-            ));
-            assert!(matches!(
-                report.outcomes[1].status,
-                StreamStatus::Committed { seq: 1 }
-            ));
-            assert_eq!(store.snapshot().model("m").unwrap().len(), 1);
-        }
-
-        #[test]
-        fn backpressure_surfaces_as_typed_shed_outcome() {
-            let store = LsmStore::in_memory(LsmConfig {
-                memtable_limit: 1,
-                max_runs: 1,
-                stall_runs: 1,
-                stall_deadline: Duration::from_millis(20),
-                auto_compact: false,
-                ..LsmConfig::default()
-            });
-            let mk = |n: usize| {
-                Extract::new(
-                    format!("src-{n}"),
-                    vec![(
-                        Term::iri(format!("http://ex.org/t{n}")),
-                        Term::iri(vocab::rdf::TYPE),
-                        Term::iri("http://ex.org/Table"),
-                    )],
-                )
-            };
-            // First extract fills the memtable and seals a run (debt 1 ≥
-            // stall_runs with no compactor) — the second must shed.
-            let report = ingest_stream(&store, "m", vec![mk(1), mk(2)]).unwrap();
-            assert!(matches!(
-                report.outcomes[0].status,
-                StreamStatus::Committed { .. }
-            ));
-            assert!(matches!(report.outcomes[1].status, StreamStatus::Shed { debt: 1, .. }));
-            assert_eq!(report.shed(), 1);
-            // Draining debt lets a retry of the shed extract commit.
-            assert!(store.compact_once().unwrap());
-            let retry = ingest_stream(&store, "m", vec![mk(2)]).unwrap();
-            assert!(retry.is_clean());
-        }
     }
 
     mod resilient {
         use super::*;
-        use crate::resilience::{failpoint, FailSpec, TestClock};
+        use crate::resilience::{failpoint, FailSpec, ManualTime};
 
         fn good_extract(source: &str, node: &str) -> Extract {
             Extract::new(
@@ -578,18 +368,18 @@ mod tests {
         #[test]
         fn flaky_source_succeeds_after_three_transient_failures() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let store = store_with_model("m");
             // The first three delivery attempts fail, the fourth works.
             failpoint::arm("ingest::extract::flaky", FailSpec::Times(3));
-            let clock = TestClock::new();
+            let clock = ManualTime::new();
             let policy = RetryPolicy::default(); // 4 attempts
             let report = ingest_resilient(
-                &mut store,
+                &store,
                 "m",
                 vec![good_extract("flaky", "t1")],
                 &policy,
                 &clock,
+                |_, _| {},
             )
             .unwrap();
             assert_eq!(report.outcomes.len(), 1);
@@ -607,17 +397,17 @@ mod tests {
         #[test]
         fn exhausted_retries_quarantine_the_extract() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let store = store_with_model("m");
             failpoint::arm("ingest::extract::dead", FailSpec::Always);
-            let clock = TestClock::new();
+            let clock = ManualTime::new();
             let policy = RetryPolicy::default().with_max_attempts(3);
             let report = ingest_resilient(
-                &mut store,
+                &store,
                 "m",
                 vec![good_extract("dead", "t1"), good_extract("healthy", "t2")],
                 &policy,
                 &clock,
+                |_, _| {},
             )
             .unwrap();
             // The dead source is quarantined; the healthy one still loads.
@@ -630,15 +420,14 @@ mod tests {
                 other => panic!("expected quarantine, got {other:?}"),
             }
             assert_eq!(report.outcomes[1].status, ExtractStatus::Loaded);
-            assert_eq!(store.model("m").unwrap().len(), 1);
+            assert_eq!(store.snapshot().model("m").unwrap().len(), 1);
             failpoint::reset();
         }
 
         #[test]
         fn fully_rejected_extract_is_quarantined_without_retry() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let store = store_with_model("m");
             let bad = Extract::new(
                 "broken-export",
                 vec![
@@ -646,13 +435,14 @@ mod tests {
                     (Term::plain("lit2"), Term::iri("p"), Term::iri("o")),
                 ],
             );
-            let clock = TestClock::new();
+            let clock = ManualTime::new();
             let report = ingest_resilient(
-                &mut store,
+                &store,
                 "m",
                 vec![bad],
                 &RetryPolicy::default(),
                 &clock,
+                |_, _| {},
             )
             .unwrap();
             match &report.outcomes[0].status {
@@ -664,14 +454,13 @@ mod tests {
                 other => panic!("expected quarantine, got {other:?}"),
             }
             assert!(clock.sleeps().is_empty());
-            assert_eq!(store.model("m").unwrap().len(), 0);
+            assert_eq!(store.snapshot().model("m").unwrap().len(), 0);
         }
 
         #[test]
         fn partial_rejection_still_loads_the_extract() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let store = store_with_model("m");
             let mixed = Extract::new(
                 "mixed",
                 vec![
@@ -684,11 +473,12 @@ mod tests {
                 ],
             );
             let report = ingest_resilient(
-                &mut store,
+                &store,
                 "m",
                 vec![mixed],
                 &RetryPolicy::no_retry(),
-                &TestClock::new(),
+                &ManualTime::new(),
+                |_, _| {},
             )
             .unwrap();
             assert_eq!(report.outcomes[0].status, ExtractStatus::Loaded);
@@ -700,15 +490,15 @@ mod tests {
         #[test]
         fn generic_failpoint_hits_every_extract() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let store = store_with_model("m");
             failpoint::arm("ingest::extract", FailSpec::Always);
             let report = ingest_resilient(
-                &mut store,
+                &store,
                 "m",
                 vec![good_extract("a", "t1"), good_extract("b", "t2")],
                 &RetryPolicy::no_retry(),
-                &TestClock::new(),
+                &ManualTime::new(),
+                |_, _| {},
             )
             .unwrap();
             assert_eq!(report.quarantined_sources(), vec!["a", "b"]);

@@ -34,7 +34,6 @@
 pub mod admission;
 pub mod answer;
 pub mod assist;
-pub mod budget;
 pub mod error;
 pub mod governance;
 pub mod history;
@@ -59,21 +58,18 @@ pub use answer::{
     RankedCandidate,
 };
 pub use assist::{find_sources, SourceCandidates};
-pub use budget::{
-    deadline_budget, CancellationToken, Completeness, QueryBudget, TimeSource, TruncationReason,
+pub use mdw_rdf::budget::{
+    CancellationToken, Completeness, QueryBudget, TimeSource, TruncationReason,
 };
 pub use error::MdwError;
 pub use governance::{who_can_access, AccessReport};
 pub use history::{History, VersionDiff, VersionRecord};
-pub use ingest::{
-    Extract, ExtractOutcome, ExtractStatus, IngestReport, ResilientIngestReport,
-    StreamIngestReport, StreamOutcome, StreamStatus,
-};
+pub use ingest::{Extract, ExtractOutcome, ExtractStatus, IngestReport, ResilientIngestReport};
 pub use lineage::{Direction, ImpactSummary, LineageRequest, LineageResult};
 pub use model::{Census, EdgeCategory, NodeKind};
 pub use ontology::OntologyBuilder;
 pub use operators::{compose_mappings, extract_submodel, merge, MergeReport};
-pub use resilience::{Clock, RetryPolicy, SystemClock, TestClock};
+pub use resilience::{Clock, RetryPolicy};
 pub use search::{SearchRequest, SearchResults};
 pub use sync::{SourceRegistry, SyncReport};
 pub use synonyms::SynonymTable;

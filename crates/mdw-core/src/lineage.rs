@@ -46,7 +46,7 @@ use mdw_rdf::vocab;
 use mdw_rdf::QueryContext;
 use mdw_reason::EntailedGraph;
 
-use crate::budget::{Completeness, QueryBudget, TruncationReason};
+use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 
 /// Traversal direction along `isMappedTo` edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -704,7 +704,7 @@ mod tests {
         for (s, p, o) in triples {
             store.insert("m", &s, &p, &o).unwrap();
         }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         (store, m)
     }
 
@@ -826,7 +826,7 @@ mod tests {
             )
             .unwrap();
         let rb = Rulebase::owlprime(store.dict_mut());
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let result = run(
             &store,
             &m,
@@ -862,7 +862,7 @@ mod tests {
     #[test]
     fn cancelled_lineage_is_empty_truncated() {
         let (store, m) = setup();
-        let token = crate::budget::CancellationToken::new();
+        let token = mdw_rdf::budget::CancellationToken::new();
         token.cancel();
         let req = LineageRequest::downstream(dwh("client_information_id"))
             .with_budget(QueryBudget::unlimited().with_cancellation(&token));

@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::store::Graph;
+use mdw_rdf::frozen::FrozenGraph;
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::TriplePattern;
 use mdw_rdf::vocab;
@@ -184,7 +184,7 @@ impl NodeClassification {
 /// Priority when a node qualifies for several kinds (a class is also an
 /// instance of `owl:Class`): Value (literals are unambiguous) > Class >
 /// Property > Instance.
-pub fn classify_nodes(graph: &Graph, dict: &Dictionary) -> NodeClassification {
+pub fn classify_nodes(graph: &FrozenGraph, dict: &Dictionary) -> NodeClassification {
     let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
     let ty = lookup(vocab::rdf::TYPE);
     let sub_class = lookup(vocab::rdfs::SUB_CLASS_OF);
@@ -309,7 +309,7 @@ pub struct Census {
 }
 
 /// Computes the Table I census of a graph.
-pub fn census(graph: &Graph, dict: &Dictionary) -> Census {
+pub fn census(graph: &FrozenGraph, dict: &Dictionary) -> Census {
     let nodes = classify_nodes(graph, dict);
     let vocab_ids = VocabIds::resolve(dict);
 
@@ -365,7 +365,7 @@ impl Census {
 
 /// Finds all instances of a class via direct `rdf:type` edges (no
 /// inference) — a low-level helper used by tests and reports.
-pub fn direct_instances_of(graph: &Graph, dict: &Dictionary, class: &Term) -> Vec<TermId> {
+pub fn direct_instances_of(graph: &FrozenGraph, dict: &Dictionary, class: &Term) -> Vec<TermId> {
     let (Some(ty), Some(class_id)) = (dict.lookup(&Term::iri(vocab::rdf::TYPE)), dict.lookup(class))
     else {
         return Vec::new();
@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn node_classification_kinds() {
         let store = fig3_store();
-        let g = store.model("m").unwrap();
+        let g = &store.model("m").unwrap().freeze();
         let nodes = classify_nodes(g, store.dict());
         let kind_of = |t: &Term| nodes.kind(store.encode(t).unwrap());
 
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn census_edge_categories() {
         let store = fig3_store();
-        let g = store.model("m").unwrap();
+        let g = &store.model("m").unwrap().freeze();
         let c = census(g, store.dict());
         assert_eq!(c.edges_in(EdgeCategory::Hierarchy), 2); // two subClassOf
         // domain + class label + owl:Class marker
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn census_node_totals_match_graph_stats() {
         let store = fig3_store();
-        let g = store.model("m").unwrap();
+        let g = &store.model("m").unwrap().freeze();
         let c = census(g, store.dict());
         assert_eq!(c.total_nodes, g.stats().nodes);
         let sum: usize = c.node_counts.iter().map(|(_, n)| n).sum();
@@ -461,7 +461,7 @@ mod tests {
     #[test]
     fn matrix_rows_sum_to_category_counts() {
         let store = fig3_store();
-        let g = store.model("m").unwrap();
+        let g = &store.model("m").unwrap().freeze();
         let c = census(g, store.dict());
         for cat in EdgeCategory::ALL {
             let from_matrix: usize = c
@@ -477,7 +477,7 @@ mod tests {
     #[test]
     fn type_facts_connect_instances_to_classes() {
         let store = fig3_store();
-        let g = store.model("m").unwrap();
+        let g = &store.model("m").unwrap().freeze();
         let c = census(g, store.dict());
         // There must be fact edges Instance→Class (rdf:type facts).
         assert!(c
@@ -492,7 +492,7 @@ mod tests {
     #[test]
     fn direct_instances() {
         let store = fig3_store();
-        let g = store.model("m").unwrap();
+        let g = &store.model("m").unwrap().freeze();
         let hits = direct_instances_of(
             g,
             store.dict(),
@@ -515,7 +515,7 @@ mod tests {
     fn empty_graph_census() {
         let mut store = Store::new();
         store.create_model("m").unwrap();
-        let c = census(store.model("m").unwrap(), store.dict());
+        let c = census(&store.model("m").unwrap().freeze(), store.dict());
         assert_eq!(c.total_nodes, 0);
         assert_eq!(c.total_edges, 0);
     }

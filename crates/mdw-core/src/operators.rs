@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::store::Graph;
+use mdw_rdf::frozen::FrozenGraph;
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::{Triple, TriplePattern};
 use mdw_rdf::vocab;
@@ -41,7 +41,11 @@ pub struct MergeConflict {
 /// The outcome of a merge.
 #[derive(Debug, Clone, Default)]
 pub struct MergeReport {
-    /// Triples added to the target model.
+    /// Triples of the merged-in model the target lacks, in SPO order —
+    /// what applying the merge writes (one batch through the store's
+    /// write path).
+    pub new_triples: Vec<Triple>,
+    /// Triples the merge adds to the target model.
     pub added: usize,
     /// Triples already present.
     pub duplicates: usize,
@@ -61,38 +65,37 @@ pub fn functional_properties() -> Vec<Term> {
     ]
 }
 
-/// Merges `other` into `target` (both decoded against `dict`), reporting
-/// conflicts on functional properties.
-pub fn merge(
-    target: &mut Graph,
-    other: &Graph,
-    dict: &Dictionary,
-) -> MergeReport {
+/// Plans the merge of `other` into `target` (both decoded against
+/// `dict`): collects the triples `target` lacks and reports conflicts on
+/// functional properties, both against `target` and among the triples the
+/// merge itself adds.
+pub fn merge(target: &FrozenGraph, other: &FrozenGraph, dict: &Dictionary) -> MergeReport {
     let functional: Vec<TermId> = functional_properties()
         .iter()
         .filter_map(|t| dict.lookup(t))
         .collect();
     let mut report = MergeReport::default();
     for t in other.iter() {
-        // Conflict check before insertion: same (s, p), different o.
+        if target.contains(t) {
+            report.duplicates += 1;
+            continue;
+        }
+        // Conflict check: same (s, p), different o — in the target or in
+        // what this merge already adds.
         if functional.contains(&t.p) {
-            for existing in target.scan(TriplePattern::with_sp(t.s, t.p)) {
-                if existing.o != t.o {
-                    report.conflicts.push(MergeConflict {
-                        subject: dict.term_unchecked(t.s).clone(),
-                        property: dict.term_unchecked(t.p).clone(),
-                        left: dict.term_unchecked(existing.o).clone(),
-                        right: dict.term_unchecked(t.o).clone(),
-                    });
-                }
+            let added = report.new_triples.iter().copied().filter(|n| n.s == t.s && n.p == t.p);
+            for existing in target.scan(TriplePattern::with_sp(t.s, t.p)).chain(added) {
+                report.conflicts.push(MergeConflict {
+                    subject: dict.term_unchecked(t.s).clone(),
+                    property: dict.term_unchecked(t.p).clone(),
+                    left: dict.term_unchecked(existing.o).clone(),
+                    right: dict.term_unchecked(t.o).clone(),
+                });
             }
         }
-        if target.insert(t) {
-            report.added += 1;
-        } else {
-            report.duplicates += 1;
-        }
+        report.new_triples.push(t);
     }
+    report.added = report.new_triples.len();
     report.conflicts.sort_by(|a, b| {
         a.subject
             .cmp(&b.subject)
@@ -120,7 +123,7 @@ pub struct ComposedMapping {
 /// `a isMappedTo b isMappedTo c`, produce the end-to-end mapping `a → c`.
 /// Conditions of the two hops are conjoined. The result is returned, not
 /// inserted — the caller decides whether to materialize shortcuts.
-pub fn compose_mappings(graph: &Graph, dict: &Dictionary) -> Vec<ComposedMapping> {
+pub fn compose_mappings(graph: &FrozenGraph, dict: &Dictionary) -> Vec<ComposedMapping> {
     let Some(mapped) = dict.lookup(&Term::iri(vocab::cs::IS_MAPPED_TO)) else {
         return Vec::new();
     };
@@ -149,7 +152,7 @@ pub fn compose_mappings(graph: &Graph, dict: &Dictionary) -> Vec<ComposedMapping
     out
 }
 
-fn reified_conditions(graph: &Graph, dict: &Dictionary) -> BTreeMap<(TermId, TermId), String> {
+fn reified_conditions(graph: &FrozenGraph, dict: &Dictionary) -> BTreeMap<(TermId, TermId), String> {
     let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
     let mut out = BTreeMap::new();
     let (Some(maps_from), Some(maps_to), Some(cond)) = (
@@ -179,7 +182,7 @@ fn reified_conditions(graph: &Graph, dict: &Dictionary) -> BTreeMap<(TermId, Ter
 /// includes both what it owns and what points at it). Literal nodes are
 /// collected but not expanded.
 pub fn extract_submodel(
-    graph: &Graph,
+    graph: &FrozenGraph,
     dict: &Dictionary,
     roots: &[Term],
     depth: usize,
@@ -236,10 +239,8 @@ mod tests {
         store.insert("b", &dwh("x"), &name, &Term::plain("kunde_id")).unwrap();
         store.insert("b", &dwh("x"), &Term::iri("http://p"), &dwh("y")).unwrap();
 
-        let other = store.model("b").unwrap().clone();
-        let dict = store.dict().clone();
-        let target = store.model_mut("a").unwrap();
-        let report = merge(target, &other, &dict);
+        let frozen = store.freeze();
+        let report = merge(frozen.model("a").unwrap(), frozen.model("b").unwrap(), frozen.dict());
         assert_eq!(report.added, 1); // the conflicting name still lands
         assert_eq!(report.duplicates, 1);
         assert_eq!(report.conflicts.len(), 1);
@@ -255,13 +256,25 @@ mod tests {
         store.create_model("b").unwrap();
         store.insert("a", &dwh("x"), &Term::iri("http://p"), &dwh("y")).unwrap();
         store.insert("b", &dwh("y"), &Term::iri("http://p"), &dwh("z")).unwrap();
-        let other = store.model("b").unwrap().clone();
-        let dict = store.dict().clone();
-        let target = store.model_mut("a").unwrap();
-        let report = merge(target, &other, &dict);
+        let frozen = store.freeze();
+        let report = merge(frozen.model("a").unwrap(), frozen.model("b").unwrap(), frozen.dict());
         assert_eq!(report.added, 1);
         assert!(report.conflicts.is_empty());
-        assert_eq!(target.len(), 2);
+        assert_eq!(report.new_triples, frozen.model("b").unwrap().iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn merge_flags_conflicts_within_the_merged_model() {
+        let mut store = Store::new();
+        store.create_model("a").unwrap();
+        store.create_model("b").unwrap();
+        let name = Term::iri(vocab::cs::HAS_NAME);
+        store.insert("b", &dwh("x"), &name, &Term::plain("one")).unwrap();
+        store.insert("b", &dwh("x"), &name, &Term::plain("two")).unwrap();
+        let frozen = store.freeze();
+        let report = merge(frozen.model("a").unwrap(), frozen.model("b").unwrap(), frozen.dict());
+        assert_eq!(report.added, 2);
+        assert_eq!(report.conflicts.len(), 1);
     }
 
     #[test]
@@ -281,7 +294,7 @@ mod tests {
                 .insert("m", &dwh(m), &Term::iri(vocab::cs::RULE_CONDITION), &Term::plain(cond))
                 .unwrap();
         }
-        let composed = compose_mappings(store.model("m").unwrap(), store.dict());
+        let composed = compose_mappings(&store.model("m").unwrap().freeze(), store.dict());
         assert_eq!(composed.len(), 1);
         assert_eq!(composed[0].from, dwh("a"));
         assert_eq!(composed[0].via, dwh("b"));
@@ -296,7 +309,7 @@ mod tests {
         let mapped = Term::iri(vocab::cs::IS_MAPPED_TO);
         store.insert("m", &dwh("a"), &mapped, &dwh("b")).unwrap();
         store.insert("m", &dwh("b"), &mapped, &dwh("c")).unwrap();
-        let composed = compose_mappings(store.model("m").unwrap(), store.dict());
+        let composed = compose_mappings(&store.model("m").unwrap().freeze(), store.dict());
         assert_eq!(composed.len(), 1);
         assert_eq!(composed[0].condition, None);
     }
@@ -313,7 +326,7 @@ mod tests {
         store
             .insert("m", &dwh("r"), &Term::iri(vocab::cs::HAS_NAME), &Term::plain("root"))
             .unwrap();
-        let graph = store.model("m").unwrap();
+        let graph = &store.model("m").unwrap().freeze();
         let depth1 = extract_submodel(graph, store.dict(), &[dwh("r")], 1);
         // r's own edges: r→n1, up→r, r hasName.
         assert_eq!(depth1.len(), 3);
@@ -328,7 +341,7 @@ mod tests {
         let mut store = Store::new();
         store.create_model("m").unwrap();
         store.insert("m", &dwh("a"), &Term::iri("http://p"), &dwh("b")).unwrap();
-        let out = extract_submodel(store.model("m").unwrap(), store.dict(), &[dwh("nope")], 3);
+        let out = extract_submodel(&store.model("m").unwrap().freeze(), store.dict(), &[dwh("nope")], 3);
         assert!(out.is_empty());
     }
 }

@@ -9,13 +9,12 @@
 //! [`crate::ingest::ingest_resilient`].
 //!
 //! Everything here is deterministic under test: [`Clock`] abstracts
-//! sleeping so tests use [`TestClock`] (which only records the requested
+//! sleeping so tests use [`ManualTime`] (which only records the requested
 //! delays), and the failpoint registry (re-exported as [`failpoint`])
 //! injects faults from seeded streams — no wall-clock time, no real I/O
 //! errors needed.
 
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::MdwError;
 
@@ -27,86 +26,28 @@ pub use mdw_rdf::failpoint;
 /// How an armed failpoint fires (re-exported for convenience).
 pub use mdw_rdf::failpoint::FailSpec;
 
-/// Monotonic time, re-exported from the substrate so query budgets and
+/// Time sources, re-exported from the substrate so query budgets and
 /// clocks share one notion of "now".
-pub use mdw_rdf::budget::TimeSource;
+pub use mdw_rdf::budget::{ManualTime, MonotonicTime, TimeSource};
 
-/// A source of delay and time, so retry backoff, deadlines, and circuit
-/// breakers are injectable: production uses [`SystemClock`], tests use
-/// [`TestClock`] and assert on the recorded delays (or advance time by
-/// hand) instead of actually waiting.
+/// A time source that can also wait, so retry backoff is injectable:
+/// production sleeps on [`MonotonicTime`]; tests pass a [`ManualTime`],
+/// whose sleeps return at once, advance virtual time, and are recorded
+/// for assertions.
 pub trait Clock: TimeSource {
     /// Waits for `duration` (or pretends to).
     fn sleep(&self, duration: Duration);
 }
 
-/// The real clock: [`std::thread::sleep`], [`Instant`] for now.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
+impl Clock for MonotonicTime {
     fn sleep(&self, duration: Duration) {
         std::thread::sleep(duration);
     }
 }
 
-impl TimeSource for SystemClock {
-    fn now(&self) -> Duration {
-        // A process-wide origin keeps SystemClock a zero-sized Copy type;
-        // TimeSource only promises meaningful *differences* anyway.
-        static ORIGIN: OnceLock<Instant> = OnceLock::new();
-        ORIGIN.get_or_init(Instant::now).elapsed()
-    }
-}
-
-/// A deterministic clock for tests: `sleep` returns immediately (recording
-/// the requested delay), and [`TestClock::now`] reports the virtual time —
-/// everything slept so far plus whatever [`TestClock::advance`] added.
-/// Clones share the same state.
-#[derive(Debug, Clone, Default)]
-pub struct TestClock {
-    inner: Arc<Mutex<TestClockState>>,
-}
-
-#[derive(Debug, Default)]
-struct TestClockState {
-    sleeps: Vec<Duration>,
-    advanced: Duration,
-}
-
-impl TestClock {
-    /// A fresh recording clock at virtual time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Every delay requested so far, in order.
-    pub fn sleeps(&self) -> Vec<Duration> {
-        self.inner.lock().unwrap().sleeps.clone()
-    }
-
-    /// Sum of all requested delays.
-    pub fn total_slept(&self) -> Duration {
-        self.inner.lock().unwrap().sleeps.iter().sum()
-    }
-
-    /// Moves virtual time forward without a sleep (e.g. to expire a
-    /// deadline or a circuit breaker's cool-down).
-    pub fn advance(&self, d: Duration) {
-        self.inner.lock().unwrap().advanced += d;
-    }
-}
-
-impl Clock for TestClock {
+impl Clock for ManualTime {
     fn sleep(&self, duration: Duration) {
-        self.inner.lock().unwrap().sleeps.push(duration);
-    }
-}
-
-impl TimeSource for TestClock {
-    fn now(&self) -> Duration {
-        let state = self.inner.lock().unwrap();
-        state.advanced + state.sleeps.iter().sum::<Duration>()
+        ManualTime::sleep(self, duration);
     }
 }
 
@@ -208,24 +149,27 @@ mod tests {
     }
 
     #[test]
-    fn test_clock_virtual_time_counts_sleeps_and_advances() {
-        let clock = TestClock::new();
+    fn manual_clock_virtual_time_counts_sleeps_and_advances() {
+        let clock = ManualTime::new();
         assert_eq!(clock.now(), Duration::ZERO);
-        clock.sleep(Duration::from_millis(40));
+        Clock::sleep(&clock, Duration::from_millis(40));
         clock.advance(Duration::from_millis(2));
         assert_eq!(clock.now(), Duration::from_millis(42));
-        // Clones share the virtual time.
+        assert_eq!(clock.sleeps(), vec![Duration::from_millis(40)]);
+        // Clones share the virtual time and the sleep record.
         let other = clock.clone();
         other.advance(Duration::from_millis(1));
-        assert_eq!(clock.now(), Duration::from_millis(43));
+        Clock::sleep(&other, Duration::from_millis(7));
+        assert_eq!(clock.now(), Duration::from_millis(50));
+        assert_eq!(clock.total_slept(), Duration::from_millis(47));
     }
 
     #[test]
-    fn system_clock_now_is_monotonic() {
-        let clock = SystemClock;
+    fn monotonic_clock_sleeps_for_real() {
+        let clock = MonotonicTime::new();
         let a = clock.now();
-        let b = clock.now();
-        assert!(b >= a);
+        Clock::sleep(&clock, Duration::from_millis(2));
+        assert!(clock.now() >= a + Duration::from_millis(2));
     }
 
     #[test]
@@ -244,7 +188,7 @@ mod tests {
 
     #[test]
     fn retry_succeeds_after_transient_failures() {
-        let clock = TestClock::new();
+        let clock = ManualTime::new();
         let policy = RetryPolicy::default();
         let mut failures_left = 3;
         let out = run_with_retry(&policy, &clock, |_| {
@@ -271,7 +215,7 @@ mod tests {
 
     #[test]
     fn permanent_failure_is_not_retried() {
-        let clock = TestClock::new();
+        let clock = ManualTime::new();
         let policy = RetryPolicy::default();
         let (err, attempts) =
             run_with_retry::<()>(&policy, &clock, |_| Err(permanent())).unwrap_err();
@@ -282,7 +226,7 @@ mod tests {
 
     #[test]
     fn exhaustion_returns_last_error() {
-        let clock = TestClock::new();
+        let clock = ManualTime::new();
         let policy = RetryPolicy::default().with_max_attempts(3);
         let (err, attempts) =
             run_with_retry::<()>(&policy, &clock, |_| Err(transient())).unwrap_err();

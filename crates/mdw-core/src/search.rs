@@ -32,7 +32,7 @@ use mdw_rdf::vocab;
 use mdw_rdf::QueryContext;
 use mdw_reason::EntailedGraph;
 
-use crate::budget::{Completeness, QueryBudget, TruncationReason};
+use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use crate::model::{AbstractionLevel, Area};
 use crate::synonyms::SynonymTable;
 
@@ -621,7 +621,7 @@ mod tests {
         for (s, p, o) in triples {
             store.insert("m", &s, &p, &o).unwrap();
         }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         (store, m)
     }
 
@@ -758,7 +758,7 @@ mod tests {
         ] {
             store.insert("m", &s, &p, &o).unwrap();
         }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
         let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
         let results = search(
@@ -801,7 +801,7 @@ mod tests {
     #[test]
     fn cancelled_search_returns_truncated_empty() {
         let (store, m) = setup();
-        let token = crate::budget::CancellationToken::new();
+        let token = mdw_rdf::budget::CancellationToken::new();
         token.cancel();
         let req = SearchRequest::new("customer")
             .with_budget(QueryBudget::unlimited().with_cancellation(&token));
@@ -843,7 +843,7 @@ mod tests {
         let mut store = Store::new();
         store.create_model("m").unwrap();
         let rb = Rulebase::owlprime(store.dict_mut());
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
         let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
         let results = search(

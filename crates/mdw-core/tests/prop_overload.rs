@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use mdw_core::budget::{Completeness, QueryBudget, TruncationReason};
+use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_core::ingest::Extract;
 use mdw_core::lineage::LineageRequest;
 use mdw_core::search::SearchRequest;

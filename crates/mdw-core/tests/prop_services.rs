@@ -162,8 +162,8 @@ proptest! {
     #[test]
     fn census_accounting_holds(l in landscape()) {
         let w = build(&l);
-        let graph = w.store().model(w.model_name()).unwrap();
-        let c = census(graph, w.store().dict());
+        let graph = w.published().model(w.model_name()).unwrap();
+        let c = census(graph, w.published().dict());
         let node_sum: usize = c.node_counts.iter().map(|(_, n)| n).sum();
         prop_assert_eq!(node_sum, c.total_nodes);
         let edge_sum: usize = c.edge_counts.iter().map(|(_, n)| n).sum();
@@ -203,8 +203,8 @@ proptest! {
             expected.extend(pairs.iter().cloned());
         }
         // Actual isMappedTo edges in the model.
-        let dict = w.store().dict();
-        let graph = w.store().model(w.model_name()).unwrap();
+        let dict = w.published().dict();
+        let graph = w.published().model(w.model_name()).unwrap();
         // If no delivery ever mentioned isMappedTo, the predicate is not
         // even interned — the actual edge set is empty.
         let actual: std::collections::BTreeSet<(Term, Term)> = match dict.lookup(&mapped) {

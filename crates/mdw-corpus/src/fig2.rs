@@ -230,13 +230,13 @@ mod tests {
         let w = warehouse();
         // partner/0815 isRelatedTo partner/4711 is only derived (symmetry).
         let view = w.entailed().unwrap();
-        let dict = w.store().dict();
+        let dict = w.published().dict();
         let s = dict.lookup(&dwh("partner/0815")).unwrap();
         let p = dict.lookup(&dm("isRelatedTo")).unwrap();
         let o = dict.lookup(&dwh("partner/4711")).unwrap();
         assert!(view.contains(mdw_rdf::triple::Triple::new(s, p, o)));
         assert!(!w
-            .store()
+            .published()
             .model(w.model_name())
             .unwrap()
             .contains(mdw_rdf::triple::Triple::new(s, p, o)));

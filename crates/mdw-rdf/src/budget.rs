@@ -11,15 +11,15 @@
 //! The module lives in the substrate crate so that every layer — the
 //! SPARQL executor, the lineage walker, the search scan — can check the
 //! same budget object; `mdw-core` re-exports it (as it does the
-//! [`failpoint`](crate::failpoint) registry) and integrates it with the
-//! injectable `Clock`.
+//! [`failpoint`](crate::failpoint) registry) and gives [`MonotonicTime`]
+//! and [`ManualTime`] its sleeping `Clock`.
 //!
 //! Everything is deterministic under test: wall-clock checks go through the
 //! [`TimeSource`] trait, so tests drive time by hand instead of sleeping.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A monotonic time source, injectable so deadline tests never sleep.
@@ -55,10 +55,12 @@ impl TimeSource for MonotonicTime {
 }
 
 /// A hand-cranked time source for tests: time only moves when
-/// [`ManualTime::advance`] is called.
+/// [`ManualTime::advance`] or [`ManualTime::sleep`] is called. Clones
+/// share the same virtual time and sleep record.
 #[derive(Debug, Clone, Default)]
 pub struct ManualTime {
     micros: Arc<AtomicU64>,
+    sleeps: Arc<Mutex<Vec<Duration>>>,
 }
 
 impl ManualTime {
@@ -70,6 +72,23 @@ impl ManualTime {
     /// Moves time forward by `d`.
     pub fn advance(&self, d: Duration) {
         self.micros.fetch_add(d.as_micros() as u64, Ordering::SeqCst);
+    }
+
+    /// A sleep that returns at once: virtual time moves forward by `d`,
+    /// and the request is recorded for [`sleeps`](Self::sleeps).
+    pub fn sleep(&self, d: Duration) {
+        self.sleeps.lock().unwrap_or_else(PoisonError::into_inner).push(d);
+        self.advance(d);
+    }
+
+    /// Every sleep requested so far, in order.
+    pub fn sleeps(&self) -> Vec<Duration> {
+        self.sleeps.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
+    /// Sum of all requested sleeps.
+    pub fn total_slept(&self) -> Duration {
+        self.sleeps().iter().sum()
     }
 }
 

@@ -31,6 +31,26 @@ use crate::triple::{Triple, TriplePattern};
 
 type Key = (u64, u64, u64);
 
+/// The end of the run of rows `<= hi_key` that starts at `start` in a
+/// sorted column. Gallops forward from `start` before the final binary
+/// search: most pattern runs are a few rows long (point lookups, empty
+/// probes), so the end is found near `start` instead of by a second search
+/// over the whole column.
+fn run_end(column: &[Key], start: usize, hi_key: Key) -> usize {
+    // Invariant: every row in `start..lo` is `<= hi_key`.
+    let mut lo = start;
+    let mut step = 1;
+    loop {
+        let probe = lo + step;
+        if probe > column.len() || column[probe - 1] > hi_key {
+            let end = probe.min(column.len());
+            return lo + column[lo..end].partition_point(|&k| k <= hi_key);
+        }
+        lo = probe;
+        step *= 2;
+    }
+}
+
 /// An immutable columnar triple index: three sorted permutation columns.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FrozenIndex {
@@ -111,8 +131,8 @@ impl FrozenIndex {
             }
         };
         let lo = column.partition_point(|&k| k < lo_key);
-        let hi = column.partition_point(|&k| k <= hi_key);
-        (column, lo, hi.max(lo), perm)
+        let hi = run_end(column, lo, hi_key);
+        (column, lo, hi, perm)
     }
 
     /// Pattern scan: a zero-allocation iterator over one contiguous slice of
@@ -150,7 +170,7 @@ impl FrozenIndex {
         FrozenRun { rows: self.spo.iter(), perm: Permutation::Spo }
     }
 
-    /// The raw SPO rows (sorted), e.g. for thawing or bulk export.
+    /// The raw SPO rows (sorted), e.g. for bulk export.
     pub fn spo_rows(&self) -> &[Key] {
         &self.spo
     }
@@ -166,11 +186,6 @@ impl FrozenIndex {
     /// give the distinct-object count without any hashing.
     pub fn osp_rows(&self) -> &[Key] {
         &self.osp
-    }
-
-    /// Thaws back into a mutable index.
-    pub fn thaw(&self) -> TripleIndex {
-        TripleIndex::from_spo_rows(self.spo.iter().copied())
     }
 
     /// Approximate heap bytes: three columns of 24-byte rows.
@@ -593,7 +608,11 @@ impl FrozenGraph {
         if self.deltas.is_empty() {
             return (*self.base).clone();
         }
-        let rows: Vec<Key> = self.iter().map(|t| t.as_tuple()).collect();
+        // Sized up front: growing a base-sized column by doubling would
+        // leave a trail of freed half-size copies behind every compaction.
+        let upper = self.base.len() + self.deltas.iter().map(|d| d.adds.len()).sum::<usize>();
+        let mut rows: Vec<Key> = Vec::with_capacity(upper);
+        rows.extend(self.iter().map(|t| t.as_tuple()));
         FrozenIndex::from_sorted_spo_rows(rows)
     }
 
@@ -847,17 +866,6 @@ mod tests {
         assert_eq!(frozen.spo_rows(), &[(1, 1, 1), (1, 1, 2), (2, 1, 1)]);
         assert!(frozen.contains(t(2, 1, 1)));
         assert_eq!(frozen.count_exact(TriplePattern::with_o(TermId(1))), 2);
-    }
-
-    #[test]
-    fn thaw_round_trips() {
-        let idx = sample();
-        let frozen = FrozenIndex::from_index(&idx);
-        let thawed = frozen.thaw();
-        assert_eq!(thawed.len(), idx.len());
-        let a: Vec<_> = idx.scan(TriplePattern::with_p(TermId(10))).collect();
-        let b: Vec<_> = thawed.scan(TriplePattern::with_p(TermId(10))).collect();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -178,17 +178,6 @@ impl TripleIndex {
     pub(crate) fn osp_keys(&self) -> impl Iterator<Item = Key> + '_ {
         self.osp.iter().copied()
     }
-
-    /// Rebuilds a mutable index from SPO rows (thawing a frozen graph back
-    /// into its mutable form; rare — only writers that touch a historized
-    /// version pay this O(n log n) cost).
-    pub(crate) fn from_spo_rows(rows: impl Iterator<Item = Key> + Clone) -> TripleIndex {
-        TripleIndex {
-            spo: rows.clone().collect(),
-            pos: rows.clone().map(|(s, p, o)| (p, o, s)).collect(),
-            osp: rows.map(|(s, p, o)| (o, s, p)).collect(),
-        }
-    }
 }
 
 /// A borrowed range scan over one permutation of a [`TripleIndex`].

@@ -3,9 +3,10 @@
 //! The paper's warehouse sits in Oracle and inherits its redo log; the
 //! pure-Rust store needs its own. The journal records committed
 //! insert/remove batches between snapshots so that
-//! [`crate::persist::recover`] can rebuild exactly the acknowledged state
-//! after a crash: latest snapshot + replay of every committed journal
-//! record with a sequence number past the snapshot.
+//! [`LsmStore::open`](crate::lsm::LsmStore::open) can rebuild exactly the
+//! acknowledged state after a crash: latest snapshot, listed runs, and a
+//! replay of every committed journal record with a sequence number past
+//! both.
 //!
 //! ## On-disk format (line-oriented, self-describing)
 //!
@@ -235,58 +236,13 @@ impl Journal {
         self.next_seq
     }
 
-    /// Appends one batch and fsyncs; returns its sequence number. On error
+    /// Appends one batch and fsyncs; returns its sequence number (a group
+    /// of one — see [`append_batches`](Self::append_batches)). On error
     /// nothing is considered committed: the handle is poisoned and the
     /// next append heals the file (truncating any partial record) before
     /// writing anything new.
     pub fn append(&mut self, model: &str, ops: &[JournalOp]) -> Result<u64, RdfError> {
-        if self.poisoned {
-            self.heal()?;
-        }
-        failpoint::check("journal::append")?;
-        let seq = self.next_seq;
-        let mut body = format!("B {seq} {} {model}\n", ops.len());
-        for op in ops {
-            body.push_str(&render_term_line(op));
-        }
-        let commit = format!("C {seq} {:08x}\n", crc32(body.as_bytes()));
-
-        if failpoint::check("journal::append::partial").is_err() {
-            // Simulate a crash mid-record: half the body reaches the disk.
-            let half = &body.as_bytes()[..body.len() / 2];
-            let _ = self.file.write_all(half);
-            let _ = self.file.sync_data();
-            self.poisoned = true;
-            return Err(RdfError::Injected { failpoint: "journal::append::partial".into() });
-        }
-        if failpoint::check("journal::append::uncommitted").is_err() {
-            // Simulate a crash after the ops but before the commit marker.
-            let _ = self.file.write_all(body.as_bytes());
-            let _ = self.file.sync_data();
-            self.poisoned = true;
-            return Err(RdfError::Injected {
-                failpoint: "journal::append::uncommitted".into(),
-            });
-        }
-
-        if let Err(e) = self
-            .file
-            .write_all(body.as_bytes())
-            .and_then(|()| self.file.write_all(commit.as_bytes()))
-        {
-            self.poisoned = true;
-            return Err(RdfError::io("append journal record", e));
-        }
-        if let Err(e) = failpoint::check("journal::sync") {
-            self.poisoned = true;
-            return Err(e);
-        }
-        if let Err(e) = self.file.sync_data() {
-            self.poisoned = true;
-            return Err(RdfError::io("sync journal", e));
-        }
-        self.next_seq = seq + 1;
-        Ok(seq)
+        Ok(self.append_batches(&[(model, ops)])?[0])
     }
 
     /// Appends a whole group of batches with **one** fsync — the group
@@ -312,6 +268,7 @@ impl Journal {
         let mut buf = String::new();
         let mut seqs = Vec::with_capacity(batches.len());
         let mut seq = self.next_seq;
+        let mut last_commit = 0;
         for (model, ops) in batches {
             let start = buf.len();
             buf.push_str(&format!("B {seq} {} {model}\n", ops.len()));
@@ -319,6 +276,7 @@ impl Journal {
                 buf.push_str(&render_term_line(op));
             }
             let crc = crc32(&buf.as_bytes()[start..]);
+            last_commit = buf.len();
             buf.push_str(&format!("C {seq} {crc:08x}\n"));
             seqs.push(seq);
             seq += 1;
@@ -331,6 +289,16 @@ impl Journal {
             let _ = self.file.sync_data();
             self.poisoned = true;
             return Err(RdfError::Injected { failpoint: "journal::append::partial".into() });
+        }
+        if failpoint::check("journal::append::uncommitted").is_err() {
+            // Simulate a crash after the last batch's ops but before its
+            // commit marker.
+            let _ = self.file.write_all(&buf.as_bytes()[..last_commit]);
+            let _ = self.file.sync_data();
+            self.poisoned = true;
+            return Err(RdfError::Injected {
+                failpoint: "journal::append::uncommitted".into(),
+            });
         }
 
         if let Err(e) = self.file.write_all(buf.as_bytes()) {

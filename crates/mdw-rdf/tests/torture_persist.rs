@@ -1,13 +1,15 @@
 //! Torture tests for the durability layer: truncate on-disk artifacts at
-//! every byte boundary and assert that recovery returns exactly the last
-//! committed state — never silently wrong data.
+//! every byte boundary and assert that [`LsmStore::open`] recovers exactly
+//! the last committed state — never silently wrong data.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use mdw_rdf::frozen::FrozenStore;
 use mdw_rdf::journal::{self, Journal, JournalOp};
+use mdw_rdf::lsm::{LsmConfig, LsmOpenReport, LsmStore};
 use mdw_rdf::persist;
 use mdw_rdf::store::Store;
 use mdw_rdf::term::Term;
@@ -32,7 +34,46 @@ fn iri(ns: &str, n: u64) -> Term {
     Term::iri(format!("http://ex.org/{ns}/{n}"))
 }
 
-/// All triples of all models, rendered for comparison.
+fn cfg() -> LsmConfig {
+    LsmConfig { auto_compact: false, ..LsmConfig::default() }
+}
+
+fn open(dir: &std::path::Path) -> Result<(LsmStore, LsmOpenReport), RdfError> {
+    LsmStore::open(dir, cfg())
+}
+
+/// All triples of all models of a published snapshot, rendered for
+/// comparison.
+fn snapshot_lines(snap: &FrozenStore) -> BTreeSet<String> {
+    let mut lines = BTreeSet::new();
+    for (name, graph) in snap.models() {
+        for t in graph.iter() {
+            let (s, p, o) = snap.decode(t).unwrap();
+            lines.insert(format!("{name}: {s} {p} {o}"));
+        }
+    }
+    lines
+}
+
+/// The state a fresh open of `dir` recovers, plus what the open did.
+fn recovered(dir: &std::path::Path) -> (BTreeSet<String>, LsmOpenReport) {
+    let (store, report) = open(dir).unwrap_or_else(|e| panic!("open failed: {e}"));
+    (snapshot_lines(&store.snapshot()), report)
+}
+
+/// Writes the base store's triples through a durable LSM store in `dir`
+/// and checkpoints them into a solid snapshot.
+fn checkpointed_base(dir: &std::path::Path) -> persist::SaveReport {
+    let (store, _) = open(dir).unwrap();
+    let ops: Vec<JournalOp> = (0..3)
+        .map(|i| JournalOp::Insert(iri("base", i), iri("p", 0), Term::plain(format!("value {i}"))))
+        .collect();
+    store.write_batch("DWH_CURR", &ops).unwrap();
+    store.checkpoint().unwrap()
+}
+
+/// All triples of all models of the reference store, rendered for
+/// comparison.
 fn state_lines(store: &Store) -> BTreeSet<String> {
     let mut lines = BTreeSet::new();
     for name in store.model_names() {
@@ -91,8 +132,7 @@ fn base_store() -> Store {
 #[test]
 fn journal_truncated_at_every_byte_recovers_committed_prefix() {
     let dir = temp_dir("journal-cut");
-    let store = base_store();
-    persist::save_snapshot(&store, &dir, 0).unwrap();
+    checkpointed_base(&dir);
 
     // Three batches; remember the file length after each commit.
     let batches: Vec<Vec<JournalOp>> = vec![
@@ -106,11 +146,11 @@ fn journal_truncated_at_every_byte_recovers_committed_prefix() {
     let journal_path = Journal::path_in(&dir);
     let mut commit_offsets = Vec::new();
     {
-        let mut j = Journal::open(&dir).unwrap();
+        let (store, _) = open(&dir).unwrap();
         let header_len = fs::metadata(&journal_path).unwrap().len() as usize;
         commit_offsets.push(header_len);
         for ops in &batches {
-            j.append("DWH_CURR", ops).unwrap();
+            store.write_batch("DWH_CURR", ops).unwrap();
             commit_offsets.push(fs::metadata(&journal_path).unwrap().len() as usize);
         }
     }
@@ -131,14 +171,18 @@ fn journal_truncated_at_every_byte_recovers_committed_prefix() {
     for cut in commit_offsets[0]..=full.len() {
         fs::write(&journal_path, &full[..cut]).unwrap();
         let committed = commit_offsets.iter().filter(|&&off| off <= cut).count() - 1;
-        let (recovered, report) = persist::recover(&dir)
-            .unwrap_or_else(|e| panic!("cut at {cut}: recover failed: {e}"));
+        let (state, report) = recovered(&dir);
         assert_eq!(
-            state_lines(&recovered),
+            state,
             expected[committed],
             "cut at byte {cut}: wrong state for {committed} committed batches"
         );
         assert_eq!(report.replayed_batches, committed, "cut at byte {cut}");
+        assert_eq!(
+            report.truncated_bytes as usize,
+            cut - commit_offsets[committed],
+            "cut at byte {cut}"
+        );
         // Recovery healed the file: it now ends at the last commit marker.
         assert_eq!(
             fs::metadata(&journal_path).unwrap().len() as usize,
@@ -155,13 +199,12 @@ fn journal_truncated_at_every_byte_recovers_committed_prefix() {
 #[test]
 fn model_file_truncation_is_always_detected() {
     let dir = temp_dir("nt-cut");
-    let store = base_store();
-    persist::save_snapshot(&store, &dir, 0).unwrap();
+    checkpointed_base(&dir);
     for path in persist::model_files(&dir).unwrap() {
         let full = fs::read(&path).unwrap();
         for cut in 0..full.len() {
             fs::write(&path, &full[..cut]).unwrap();
-            let err = persist::load_store(&dir).unwrap_err();
+            let err = open(&dir).map(drop).unwrap_err();
             assert!(
                 matches!(err, RdfError::Corrupt { .. } | RdfError::Parse { .. }),
                 "cut at {cut}: unexpected error kind {err}"
@@ -171,6 +214,7 @@ fn model_file_truncation_is_always_detected() {
         }
         fs::write(&path, &full).unwrap();
         assert!(persist::fsck(&dir).unwrap().clean());
+        assert_eq!(recovered(&dir).0, state_lines(&base_store()));
     }
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -181,9 +225,9 @@ fn model_file_truncation_is_always_detected() {
 #[test]
 fn partial_next_generation_files_do_not_affect_committed_state() {
     let dir = temp_dir("partial-gen");
-    let store = base_store();
-    let report = persist::save_snapshot(&store, &dir, 0).unwrap();
-    let committed = state_lines(&persist::load_store(&dir).unwrap());
+    let report = checkpointed_base(&dir);
+    let committed = recovered(&dir).0;
+    assert_eq!(committed, state_lines(&base_store()));
 
     // Fake the debris of a crashed snapshot: a next-generation model file
     // and a manifest temp file, both torn at various points.
@@ -196,11 +240,11 @@ fn partial_next_generation_files_do_not_affect_committed_state() {
         fs::write(&debris_model, &model_bytes[..cut]).unwrap();
         fs::write(&debris_manifest, &manifest_bytes.as_bytes()[..cut.min(manifest_bytes.len())])
             .unwrap();
-        let loaded = persist::load_store(&dir).unwrap();
-        assert_eq!(state_lines(&loaded), committed, "cut at {cut}");
+        assert_eq!(recovered(&dir).0, committed, "cut at {cut}");
     }
-    // The next successful save reaps the debris.
-    let r2 = persist::save_snapshot(&store, &dir, 0).unwrap();
+    // The next successful checkpoint reaps the debris.
+    let (store, _) = open(&dir).unwrap();
+    let r2 = store.checkpoint().unwrap();
     assert!(r2.generation > report.generation);
     assert!(!debris_manifest.exists());
     fs::remove_dir_all(&dir).unwrap();
@@ -219,8 +263,8 @@ fn op_strategy() -> impl Strategy<Value = JournalOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any sequence of journaled batches replays to exactly the state the
-    /// writer saw in memory, regardless of how batches were sized.
+    /// Any sequence of committed batches replays to exactly the state of
+    /// the reference model, regardless of how batches were sized.
     #[test]
     fn journal_replay_matches_in_memory_state(
         batches in proptest::collection::vec(
@@ -230,21 +274,22 @@ proptest! {
     ) {
         let dir = temp_dir("prop-replay");
         let mut live = base_store();
-        persist::save_snapshot(&live, &dir, 0).unwrap();
+        checkpointed_base(&dir);
         {
-            let mut j = Journal::open(&dir).unwrap();
+            let (store, _) = open(&dir).unwrap();
             for ops in &batches {
                 apply_ops(&mut live, "DWH_CURR", ops);
-                j.append("DWH_CURR", ops).unwrap();
+                store.write_batch("DWH_CURR", ops).unwrap();
             }
+            prop_assert_eq!(snapshot_lines(&store.snapshot()), state_lines(&live));
         }
-        let (recovered, report) = persist::recover(&dir).unwrap();
-        prop_assert_eq!(state_lines(&recovered), state_lines(&live));
+        let (state, report) = recovered(&dir);
+        prop_assert_eq!(&state, &state_lines(&live));
         prop_assert_eq!(report.replayed_batches, batches.len());
-        // Checkpoint and recover again: still identical, nothing replayed.
-        persist::save_snapshot(&live, &dir, report.last_seq).unwrap();
-        let (again, report2) = persist::recover(&dir).unwrap();
-        prop_assert_eq!(state_lines(&again), state_lines(&live));
+        // Checkpoint and open again: still identical, nothing replayed.
+        open(&dir).unwrap().0.checkpoint().unwrap();
+        let (again, report2) = recovered(&dir);
+        prop_assert_eq!(&again, &state_lines(&live));
         prop_assert_eq!(report2.replayed_batches, 0);
         fs::remove_dir_all(&dir).unwrap();
     }

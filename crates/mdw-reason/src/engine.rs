@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 use mdw_rdf::dict::{Dictionary, TermId};
 use mdw_rdf::frozen::FrozenIndex;
 use mdw_rdf::index::TripleIndex;
-use mdw_rdf::store::Graph;
+use mdw_rdf::frozen::FrozenGraph;
 use mdw_rdf::triple::{Triple, TriplePattern};
 
 use crate::rule::{Rule, RuleAtom, RuleTerm};
@@ -42,7 +42,7 @@ pub struct Materialization {
 
 impl Materialization {
     /// Runs the rulebase over the base graph to fixpoint.
-    pub fn materialize(base: &Graph, rulebase: &Rulebase, dict: &Dictionary) -> Self {
+    pub fn materialize(base: &FrozenGraph, rulebase: &Rulebase, dict: &Dictionary) -> Self {
         let mut m = Materialization::default();
         let delta: Vec<Triple> = base.iter().collect();
         m.run(base, rulebase, dict, delta);
@@ -54,7 +54,7 @@ impl Materialization {
     /// (transitively) are computed.
     pub fn extend(
         &mut self,
-        base: &Graph,
+        base: &FrozenGraph,
         rulebase: &Rulebase,
         dict: &Dictionary,
         new_facts: &[Triple],
@@ -93,7 +93,7 @@ impl Materialization {
         &self.stats
     }
 
-    fn run(&mut self, base: &Graph, rulebase: &Rulebase, dict: &Dictionary, mut delta: Vec<Triple>) {
+    fn run(&mut self, base: &FrozenGraph, rulebase: &Rulebase, dict: &Dictionary, mut delta: Vec<Triple>) {
         if rulebase.is_empty() {
             return;
         }
@@ -113,7 +113,7 @@ impl Materialization {
     /// Evaluates one rule with body atom `delta_pos` restricted to the delta.
     fn eval_rule(
         &mut self,
-        base: &Graph,
+        base: &FrozenGraph,
         dict: &Dictionary,
         rule: &Rule,
         delta_pos: usize,
@@ -122,18 +122,18 @@ impl Materialization {
     ) {
         let mut bindings = vec![None; rule.var_count()];
         let delta_atom = rule.body[delta_pos];
+        let rest: Vec<RuleAtom> = rule
+            .body
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != delta_pos)
+            .map(|(_, a)| *a)
+            .collect();
         for &t in delta {
             bindings.iter_mut().for_each(|b| *b = None);
             if !unify(delta_atom, t, &mut bindings) {
                 continue;
             }
-            let rest: Vec<RuleAtom> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != delta_pos)
-                .map(|(_, a)| *a)
-                .collect();
             self.join_rest(base, dict, rule, &rest, 0, &mut bindings, new_delta);
         }
     }
@@ -143,7 +143,7 @@ impl Materialization {
     #[allow(clippy::too_many_arguments)]
     fn join_rest(
         &mut self,
-        base: &Graph,
+        base: &FrozenGraph,
         dict: &Dictionary,
         rule: &Rule,
         rest: &[RuleAtom],
@@ -166,18 +166,29 @@ impl Materialization {
             .scan(pattern)
             .chain(self.derived.scan(pattern))
             .collect();
+        // The variables this atom may bind; unbinding exactly those after
+        // each match restores the environment without copying it.
+        let mut fresh = [None; 3];
+        for (slot, rt) in fresh.iter_mut().zip([atom.s, atom.p, atom.o]) {
+            if let RuleTerm::Var(v) = rt {
+                if bindings[v as usize].is_none() {
+                    *slot = Some(v as usize);
+                }
+            }
+        }
         for t in matches {
-            let saved = bindings.clone();
             if unify(atom, t, bindings) {
                 self.join_rest(base, dict, rule, rest, pos + 1, bindings, new_delta);
             }
-            *bindings = saved;
+            for v in fresh.into_iter().flatten() {
+                bindings[v] = None;
+            }
         }
     }
 
     fn emit_head(
         &mut self,
-        base: &Graph,
+        base: &FrozenGraph,
         dict: &Dictionary,
         rule: &Rule,
         bindings: &[Option<TermId>],
@@ -270,7 +281,7 @@ mod tests {
         insert(&mut store, "Party", vocab::rdfs::SUB_CLASS_OF, "LegalEntity");
         insert(&mut store, "john", vocab::rdf::TYPE, "Individual");
 
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         assert!(derived_contains(&store, &m, "Individual", vocab::rdfs::SUB_CLASS_OF, "LegalEntity"));
         assert!(derived_contains(&store, &m, "john", vocab::rdf::TYPE, "Party"));
         assert!(derived_contains(&store, &m, "john", vocab::rdf::TYPE, "LegalEntity"));
@@ -288,7 +299,7 @@ mod tests {
             );
         }
         insert(&mut store, "x", vocab::rdf::TYPE, "C0");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         // x must be typed with every class up the chain.
         for i in 1..=10 {
             assert!(
@@ -315,7 +326,7 @@ mod tests {
                 &Term::plain("John"),
             )
             .unwrap();
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let t = Triple::new(
             store.encode(&Term::iri("john")).unwrap(),
             store.encode(&Term::iri("hasName")).unwrap(),
@@ -338,7 +349,7 @@ mod tests {
             )
             .unwrap();
         insert(&mut store, "john", "worksFor", "acme");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         assert!(derived_contains(&store, &m, "john", vocab::rdf::TYPE, "Individual"));
         assert!(derived_contains(&store, &m, "acme", vocab::rdf::TYPE, "Institution"));
     }
@@ -350,7 +361,7 @@ mod tests {
         store
             .insert("m", &Term::iri("john"), &Term::iri("hasName"), &Term::plain("John"))
             .unwrap();
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         // "John" rdf:type Name would have a literal subject — must be absent.
         let lit = store.encode(&Term::plain("John")).unwrap();
         let ty = store.encode(&Term::iri(vocab::rdf::TYPE)).unwrap();
@@ -366,7 +377,7 @@ mod tests {
         // The paper's example: isRelatedTo is symmetric.
         insert(&mut store, "isRelatedTo", vocab::rdf::TYPE, vocab::owl::SYMMETRIC_PROPERTY);
         insert(&mut store, "a", "isRelatedTo", "b");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         assert!(derived_contains(&store, &m, "b", "isRelatedTo", "a"));
     }
 
@@ -377,7 +388,7 @@ mod tests {
         insert(&mut store, "a", "feeds", "b");
         insert(&mut store, "b", "feeds", "c");
         insert(&mut store, "c", "feeds", "d");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         assert!(derived_contains(&store, &m, "a", "feeds", "c"));
         assert!(derived_contains(&store, &m, "a", "feeds", "d"));
         assert!(derived_contains(&store, &m, "b", "feeds", "d"));
@@ -389,7 +400,7 @@ mod tests {
         insert(&mut store, "feeds", vocab::owl::INVERSE_OF, "isFedBy");
         insert(&mut store, "a", "feeds", "b");
         insert(&mut store, "c", "isFedBy", "d");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         assert!(derived_contains(&store, &m, "b", "isFedBy", "a"));
         assert!(derived_contains(&store, &m, "d", "feeds", "c"));
     }
@@ -401,7 +412,7 @@ mod tests {
         store
             .insert("m", &Term::iri("x"), &Term::iri("hasLabel"), &Term::plain("a label"))
             .unwrap();
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         // "a label" isLabelOf x would have a literal subject — must be absent.
         let lit = store.encode(&Term::plain("a label")).unwrap();
         assert_eq!(
@@ -418,7 +429,7 @@ mod tests {
         store
             .insert("m", &Term::iri("x"), &Term::iri("alias"), &Term::plain("nickname"))
             .unwrap();
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let lit = store.encode(&Term::plain("nickname")).unwrap();
         assert_eq!(m.derived().scan(TriplePattern::with_s(lit)).count(), 0);
     }
@@ -429,7 +440,7 @@ mod tests {
         insert(&mut store, "Customer", vocab::owl::EQUIVALENT_CLASS, "Client");
         insert(&mut store, "x", vocab::rdf::TYPE, "Customer");
         insert(&mut store, "y", vocab::rdf::TYPE, "Client");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         assert!(derived_contains(&store, &m, "x", vocab::rdf::TYPE, "Client"));
         assert!(derived_contains(&store, &m, "y", vocab::rdf::TYPE, "Customer"));
     }
@@ -440,7 +451,7 @@ mod tests {
         insert(&mut store, "cust_42", vocab::owl::SAME_AS, "partner_42");
         insert(&mut store, "cust_42", "locatedIn", "Zurich");
         insert(&mut store, "hq", "owns", "partner_42");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         assert!(derived_contains(&store, &m, "partner_42", vocab::owl::SAME_AS, "cust_42"));
         assert!(derived_contains(&store, &m, "partner_42", "locatedIn", "Zurich"));
         assert!(derived_contains(&store, &m, "hq", "owns", "cust_42"));
@@ -452,14 +463,14 @@ mod tests {
         insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
         insert(&mut store, "B", vocab::rdfs::SUB_CLASS_OF, "C");
         insert(&mut store, "x", vocab::rdf::TYPE, "A");
-        let m1 = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m1 = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         // Re-materializing a graph that already includes the derived triples
         // derives nothing new beyond them.
         let mut enriched = store.model("m").unwrap().clone();
         for t in m1.derived().iter() {
             enriched.insert(t);
         }
-        let m2 = Materialization::materialize(&enriched, &rb, store.dict());
+        let m2 = Materialization::materialize(&enriched.freeze(), &rb, store.dict());
         assert_eq!(m2.derived().len(), 0);
     }
 
@@ -468,7 +479,7 @@ mod tests {
         let (mut store, _) = setup();
         insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
         let m = Materialization::materialize(
-            store.model("m").unwrap(),
+            &store.model("m").unwrap().freeze(),
             &Rulebase::empty(),
             store.dict(),
         );
@@ -481,7 +492,7 @@ mod tests {
         let (mut store, rb) = setup();
         insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
         insert(&mut store, "x", vocab::rdf::TYPE, "A");
-        let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let mut m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
 
         // New release adds a superclass on top.
         insert(&mut store, "B", vocab::rdfs::SUB_CLASS_OF, "C");
@@ -490,9 +501,9 @@ mod tests {
             store.encode(&Term::iri(vocab::rdfs::SUB_CLASS_OF)).unwrap(),
             store.encode(&Term::iri("C")).unwrap(),
         );
-        m.extend(store.model("m").unwrap(), &rb, store.dict(), &[new]);
+        m.extend(&store.model("m").unwrap().freeze(), &rb, store.dict(), &[new]);
 
-        let full = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let full = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let inc: Vec<_> = m.derived().iter().collect();
         let fl: Vec<_> = full.derived().iter().collect();
         assert_eq!(inc, fl);
@@ -505,7 +516,7 @@ mod tests {
         insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
         insert(&mut store, "B", vocab::rdfs::SUB_CLASS_OF, "C");
         insert(&mut store, "x", vocab::rdf::TYPE, "A");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let stats = m.stats();
         assert_eq!(stats.derived, m.derived().len());
         assert!(stats.rounds >= 2);

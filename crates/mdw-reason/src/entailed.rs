@@ -140,7 +140,7 @@ mod tests {
                 .insert("m", &Term::iri(s), &Term::iri(p), &Term::iri(o))
                 .unwrap();
         }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         (store, m)
     }
 

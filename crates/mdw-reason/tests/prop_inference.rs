@@ -109,7 +109,7 @@ proptest! {
     #[test]
     fn closure_matches_oracle(g in random_graph()) {
         let (store, rb) = build(&g);
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let graph = store.model("m").unwrap();
         let derived = m.derived();
         let entailed = |s: &Term, p: &str, o: &Term| -> bool {
@@ -158,7 +158,7 @@ proptest! {
     fn monotone_in_the_input(g in random_graph(), extra in random_graph()) {
         let (store_small, rb) = build(&g);
         let m_small =
-            Materialization::materialize(store_small.model("m").unwrap(), &rb, store_small.dict());
+            Materialization::materialize(&store_small.model("m").unwrap().freeze(), &rb, store_small.dict());
 
         // The larger graph contains g plus extra.
         let merged = RandomGraph {
@@ -167,7 +167,7 @@ proptest! {
         };
         let (store_big, rb_big) = build(&merged);
         let m_big =
-            Materialization::materialize(store_big.model("m").unwrap(), &rb_big, store_big.dict());
+            Materialization::materialize(&store_big.model("m").unwrap().freeze(), &rb_big, store_big.dict());
 
         // Every small-graph entailment survives (decoded comparison:
         // dictionaries differ between stores).
@@ -190,12 +190,12 @@ proptest! {
     #[test]
     fn fixpoint_is_idempotent(g in random_graph()) {
         let (store, rb) = build(&g);
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let mut enriched = store.model("m").unwrap().clone();
         for t in m.derived().iter() {
             enriched.insert(t);
         }
-        let m2 = Materialization::materialize(&enriched, &rb, store.dict());
+        let m2 = Materialization::materialize(&enriched.freeze(), &rb, store.dict());
         prop_assert_eq!(m2.derived().len(), 0);
     }
 
@@ -221,7 +221,7 @@ proptest! {
         for (s, p, o) in &all_triples[..split] {
             store.insert("m", s, p, o).unwrap();
         }
-        let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let mut m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let mut new_encoded = Vec::new();
         for (s, p, o) in &all_triples[split..] {
             if store.insert("m", s, p, o).unwrap() {
@@ -232,9 +232,9 @@ proptest! {
                 ));
             }
         }
-        m.extend(store.model("m").unwrap(), &rb, store.dict(), &new_encoded);
+        m.extend(&store.model("m").unwrap().freeze(), &rb, store.dict(), &new_encoded);
 
-        let full = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let full = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let inc: Vec<Triple> = m.derived().iter().collect();
         let fl: Vec<Triple> = full.derived().iter().collect();
         prop_assert_eq!(inc, fl);

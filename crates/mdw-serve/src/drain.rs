@@ -13,7 +13,7 @@
 //!    closes properly. Nothing is abandoned mid-chunk; clients get a valid
 //!    prefix and an honest flag, never silence.
 //!
-//! The registry doubles as the server's in-flight census for `/stats`.
+//! The registry doubles as the server's in-flight census for `/admin/stats`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -474,7 +474,7 @@ mod tests {
     #[test]
     fn rejects_oversized_request_lines_with_431() {
         let mut raw = b"GET /".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(MAX_REQUEST_LINE + 10));
+        raw.extend(std::iter::repeat_n(b'a', MAX_REQUEST_LINE + 10));
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
         let err = parse_request(&raw[..]).unwrap_err();
         assert!(matches!(err, ParseError::HeadTooLarge(_)), "{err}");

@@ -165,10 +165,6 @@ pub fn prepare(state: &Arc<ServeState>, request: &Request) -> Prepared {
         ("GET", "/healthz") => {
             Prepared::Fixed(StagedResponse::routed(200, "text/plain", b"ok\n".to_vec()))
         }
-        ("GET", "/stats") => {
-            let body = format!("{}\n", stats_json(state)).into_bytes();
-            Prepared::Fixed(StagedResponse::routed(200, "application/json", body))
-        }
         ("GET", "/admin/stats") => {
             let body = format!("{}\n", admin_stats_json(state)).into_bytes();
             Prepared::Fixed(StagedResponse::routed(200, "application/json", body))
@@ -195,8 +191,8 @@ pub fn prepare(state: &Arc<ServeState>, request: &Request) -> Prepared {
         }),
         (
             _,
-            "/healthz" | "/stats" | "/search" | "/lineage" | "/sparql" | "/answer"
-            | "/admin/drain" | "/admin/stats",
+            "/healthz" | "/search" | "/lineage" | "/sparql" | "/answer" | "/admin/drain"
+            | "/admin/stats",
         ) => Prepared::Fixed(StagedResponse::error_json(405, "method not allowed")),
         _ => Prepared::Fixed(StagedResponse::error_json(404, "no such endpoint")),
     }
@@ -681,8 +677,13 @@ fn json_string(text: &str) -> String {
     serde_json::to_string(&Value::String(text.to_string())).expect("string serializes")
 }
 
-/// The `/stats` document: service-level counters plus per-tenant admission.
-pub fn stats_json(state: &ServeState) -> String {
+/// The `GET /admin/stats` document, the server's one stats surface: the
+/// transport's own counters — what the event loop accepted, timed out (by
+/// state), shed, backed off, and reused — plus per-tenant admission and
+/// the warehouse's planner and keyword-answer counters. The wire drill's
+/// exit report reads this.
+pub fn admin_stats_json(state: &ServeState) -> String {
+    let counters = &state.counters;
     let tenants: Vec<Value> = state
         .tenants
         .as_ref()
@@ -702,25 +703,6 @@ pub fn stats_json(state: &ServeState) -> String {
                 .collect()
         })
         .unwrap_or_default();
-    let doc = json!({
-        "served": state.counters.served.load(Ordering::Relaxed),
-        "sheds": state.counters.sheds.load(Ordering::Relaxed),
-        "panics": state.counters.panics.load(Ordering::Relaxed),
-        "wire_errors": state.counters.wire_errors.load(Ordering::Relaxed),
-        "accept_errors": state.counters.accept_errors.load(Ordering::Relaxed),
-        "capacity_rejects": state.counters.capacity_rejects.load(Ordering::Relaxed),
-        "inflight": state.drain.inflight(),
-        "draining": state.drain.is_draining(),
-        "tenants": tenants,
-    });
-    serde_json::to_string(&doc).expect("stats serialize")
-}
-
-/// The `GET /admin/stats` document: the transport's own counters — what the
-/// event loop accepted, timed out (by state), shed, backed off, and reused.
-/// The wire drill's exit report reads this.
-pub fn admin_stats_json(state: &ServeState) -> String {
-    let counters = &state.counters;
     let planner = state.warehouse.planner_stats();
     let answer = state.warehouse.answer_stats();
     let doc = json!({
@@ -753,6 +735,7 @@ pub fn admin_stats_json(state: &ServeState) -> String {
         "active_connections": state.active_connections(),
         "inflight": state.drain.inflight(),
         "draining": state.drain.is_draining(),
+        "tenants": tenants,
     });
     serde_json::to_string(&doc).expect("admin stats serialize")
 }

@@ -78,7 +78,7 @@ fn serves_search_end_to_end_over_tcp() {
     assert!(resp.answer_complete(), "body: {}", resp.body);
     assert!(resp.lines().len() >= 2);
 
-    let stats = client::get(server.addr(), "/stats", &[], CLIENT_TIMEOUT).expect("stats");
+    let stats = client::get(server.addr(), "/admin/stats", &[], CLIENT_TIMEOUT).expect("stats");
     assert!(stats.body.contains("\"tenant\":\"e2e\""), "stats: {}", stats.body);
 }
 

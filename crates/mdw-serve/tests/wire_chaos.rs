@@ -119,12 +119,16 @@ fn healthz_and_stats_frames_are_complete() {
     assert!(resp.complete_frame);
     assert_eq!(resp.body, "ok\n");
 
-    let (_, raw) = drive(&state, &get_request("/stats", &[]));
+    let (_, raw) = drive(&state, &get_request("/admin/stats", &[]));
     let resp = parse_response(&raw).unwrap();
     assert_eq!(resp.status, 200);
     assert!(resp.complete_frame);
     assert!(resp.body.contains("\"served\":1"));
     assert!(resp.body.contains("\"tenants\""));
+    assert!(resp.body.contains("\"keepalive_reuses\""));
+    // One stats document: the old `/stats` path is gone.
+    let (_, raw) = drive(&state, &get_request("/stats", &[]));
+    assert_eq!(parse_response(&raw).unwrap().status, 404);
     assert_nothing_leaked(&state);
 }
 
@@ -142,8 +146,8 @@ fn search_streams_rows_and_a_truthful_summary() {
     assert!(resp.lines().len() >= 2, "rows + summary expected: {}", resp.body);
     assert_nothing_leaked(&state);
 
-    // The tenant shows up in /stats with its admission.
-    let (_, raw) = drive(&state, &get_request("/stats", &[]));
+    // The tenant shows up in /admin/stats with its admission.
+    let (_, raw) = drive(&state, &get_request("/admin/stats", &[]));
     let stats = parse_response(&raw).unwrap();
     assert!(stats.body.contains("\"tenant\":\"risk\""));
 }
@@ -541,7 +545,7 @@ fn chaos_storm_full_sweep_never_wedges_the_state() {
         Some(fault::WRITE_RESET),
         Some(fault::WRITE_PARTIAL),
     ];
-    let targets = ["/search?q=client", "/lineage?item=dwh_stage0_item0", "/healthz", "/stats"];
+    let targets = ["/search?q=client", "/lineage?item=dwh_stage0_item0", "/healthz", "/admin/stats"];
     for round in 0..3 {
         for (i, target) in targets.iter().enumerate() {
             let fault_name = faults[(round + i) % faults.len()];

@@ -21,7 +21,7 @@
 //!     .model("DWH_CURR")
 //!     .alias("ex", "http://ex.org/")
 //!     .select(&["?x", "?c"])
-//!     .execute(&store, None)
+//!     .execute(&store.freeze(), None)
 //!     .unwrap();
 //! assert_eq!(out.rows.len(), 1);
 //! ```
@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 
-use mdw_rdf::store::Store;
+use mdw_rdf::frozen::FrozenStore;
 use mdw_rdf::vocab;
 use mdw_reason::{EntailedGraph, Materialization};
 
@@ -185,13 +185,13 @@ impl SemMatch {
         q
     }
 
-    /// Executes against a store. If a rulebase was named, `entailments`
+    /// Executes against a snapshot. If a rulebase was named, `entailments`
     /// must be the materialization of that rulebase over the model; passing
     /// `None` with a named rulebase is an error (the paper's "indexes only
     /// exist if built").
     pub fn execute(
         &self,
-        store: &Store,
+        store: &FrozenStore,
         entailments: Option<&Materialization>,
     ) -> Result<QueryOutput, SparqlError> {
         self.execute_with_budget(store, entailments, &QueryBudget::unlimited())
@@ -202,7 +202,7 @@ impl SemMatch {
     /// [`Completeness::Truncated`](mdw_rdf::budget::Completeness).
     pub fn execute_with_budget(
         &self,
-        store: &Store,
+        store: &FrozenStore,
         entailments: Option<&Materialization>,
         budget: &QueryBudget,
     ) -> Result<QueryOutput, SparqlError> {
@@ -214,7 +214,7 @@ impl SemMatch {
     /// sequential execution).
     pub fn execute_with_options(
         &self,
-        store: &Store,
+        store: &FrozenStore,
         entailments: Option<&Materialization>,
         budget: &QueryBudget,
         par: ParallelPolicy,
@@ -232,7 +232,7 @@ impl SemMatch {
     /// measure against.
     pub fn execute_explained(
         &self,
-        store: &Store,
+        store: &FrozenStore,
         entailments: Option<&Materialization>,
         budget: &QueryBudget,
         par: ParallelPolicy,
@@ -249,8 +249,7 @@ impl SemMatch {
         match (&self.rulebase, entailments) {
             (None, _) => execute_explained(&query, graph, store.dict(), budget, par, use_planner),
             (Some(_), Some(m)) => {
-                let base = graph.freeze();
-                let view = EntailedGraph::new(&base, m.frozen());
+                let view = EntailedGraph::new(graph, m.frozen());
                 execute_explained(&query, &view, store.dict(), budget, par, use_planner)
             }
             (Some(rb), None) => Err(SparqlError::Semantic(format!(
@@ -263,10 +262,11 @@ impl SemMatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdw_rdf::store::Store;
     use mdw_rdf::term::Term;
     use mdw_reason::Rulebase;
 
-    fn setup() -> (Store, Materialization) {
+    fn setup() -> (FrozenStore, Materialization) {
         let mut store = Store::new();
         store.create_model("DWH_CURR").unwrap();
         let rb = Rulebase::owlprime(store.dict_mut());
@@ -297,6 +297,7 @@ mod tests {
         for (s, p, o) in triples {
             store.insert("DWH_CURR", &s, &p, &o).unwrap();
         }
+        let store = store.freeze();
         let m = Materialization::materialize(store.model("DWH_CURR").unwrap(), &rb, store.dict());
         (store, m)
     }

@@ -90,10 +90,10 @@ fn main() {
 
     // --- 4. Model-management operators for the review ticket ----------------
     let graph = warehouse
-        .store()
+        .published()
         .model(warehouse.model_name())
         .expect("model");
-    let composed = compose_mappings(graph, warehouse.store().dict());
+    let composed = compose_mappings(graph, warehouse.published().dict());
     println!(
         "\ncomposed end-to-end mappings (Rondo compose): {} (first 3):",
         composed.len()
@@ -108,7 +108,7 @@ fn main() {
         );
     }
 
-    let submodel = extract_submodel(graph, warehouse.store().dict(), std::slice::from_ref(&chain_end), 2);
+    let submodel = extract_submodel(graph, warehouse.published().dict(), std::slice::from_ref(&chain_end), 2);
     println!(
         "extracted submodel around {} (2 hops): {} triples",
         chain_end.label(),

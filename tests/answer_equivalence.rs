@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use metadata_warehouse::core::admission::{AdmissionConfig, QueryClass, CLASS_COUNT};
 use metadata_warehouse::core::answer::AnswerRequest;
-use metadata_warehouse::core::budget::{CancellationToken, QueryBudget, TruncationReason};
+use metadata_warehouse::rdf::budget::{CancellationToken, QueryBudget, TruncationReason};
 use metadata_warehouse::core::error::MdwError;
 use metadata_warehouse::core::ingest::Extract;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;

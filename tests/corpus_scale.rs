@@ -98,8 +98,8 @@ fn lineage_paths_are_real_edge_chains() {
     let result = w
         .lineage(&LineageRequest::downstream(corpus.chain_start.clone()).max_depth(4))
         .unwrap();
-    let dict = w.store().dict();
-    let graph = w.store().model(w.model_name()).unwrap();
+    let dict = w.published().dict();
+    let graph = w.published().model(w.model_name()).unwrap();
     let mapped = dict
         .lookup(&Term::iri(vocab::cs::IS_MAPPED_TO))
         .unwrap();
@@ -134,7 +134,7 @@ fn subject_area_inventory_is_queryable() {
         .find(|a| a.area == "Applications")
         .unwrap();
     let view = w.entailed().unwrap();
-    let dict = w.store().dict();
+    let dict = w.published().dict();
     let ty = dict.lookup(&Term::iri(vocab::rdf::TYPE)).unwrap();
     let app_class = dict.lookup(&Term::iri(vocab::cs::dm("Application"))).unwrap();
     let instances: BTreeSet<_> = view

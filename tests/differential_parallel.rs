@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 
-use metadata_warehouse::core::budget::{
+use metadata_warehouse::rdf::budget::{
     CancellationToken, QueryBudget, TruncationReason, CHECK_INTERVAL,
 };
 use metadata_warehouse::core::ingest::Extract;

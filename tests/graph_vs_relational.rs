@@ -100,14 +100,14 @@ fn graph_keeps_what_relational_drops() {
         + report.dropped.get("hasConsumer").copied().unwrap_or(0);
     assert!(dropped_governance > 0);
 
-    let dict = graph.store().dict();
+    let dict = graph.published().dict();
     let has_owner = dict
         .lookup(&metadata_warehouse::rdf::Term::iri(
             metadata_warehouse::rdf::vocab::cs::dm("hasOwner"),
         ))
         .expect("graph interned hasOwner");
     let graph_governance = graph
-        .store()
+        .published()
         .model(graph.model_name())
         .unwrap()
         .scan(metadata_warehouse::rdf::TriplePattern::with_p(has_owner))

@@ -65,8 +65,8 @@ proptest! {
             vocab::cs::DT,
         ))
         .unwrap();
-        let graph = w.store().model(w.model_name()).unwrap();
-        let out = execute(&query, graph, w.store().dict()).unwrap();
+        let graph = w.published().model(w.model_name()).unwrap();
+        let out = execute(&query, graph, w.published().dict()).unwrap();
         let mut path_set: Vec<String> = out
             .rows
             .iter()
@@ -126,8 +126,8 @@ proptest! {
             vocab::cs::DT,
         ))
         .unwrap();
-        let graph = w.store().model(w.model_name()).unwrap();
-        let out = execute(&query, graph, w.store().dict()).unwrap();
+        let graph = w.published().model(w.model_name()).unwrap();
+        let out = execute(&query, graph, w.published().dict()).unwrap();
         let answer = out.rows[0][0].as_ref().unwrap().label() == "true";
         prop_assert_eq!(answer, reachable);
     }
