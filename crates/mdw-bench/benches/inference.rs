@@ -93,7 +93,7 @@ fn bench_incremental_extend(c: &mut Criterion) {
         b.iter(|| {
             let mut m = m0.clone();
             m.extend(&store.model("m").unwrap().freeze(), &rb, store.dict(), &[t]);
-            m.derived().len()
+            m.stats().derived
         })
     });
 }

@@ -1052,7 +1052,7 @@ mod tests {
 
     fn plan(store: &Store, m: &Materialization, req: AnswerRequest) -> CandidatePlan {
         let ctx = QueryContext::new(Arc::new(store.freeze())).with_budget(req.budget.clone());
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.derived());
         let stats = ctx.planner_stats("m").unwrap();
         plan_candidates(&view, &ctx, &SynonymTable::banking(), &stats, &req)
     }

@@ -254,8 +254,8 @@ pub fn trace(
         Some(iter.fold(first, |acc, s| acc.intersection(&s).copied().collect()))
     };
 
-    // Rule conditions of reified mappings: (from, to) → condition.
-    let conditions = mapping_conditions(graph, dict);
+    // Rule conditions of reified mappings, looked up per discovered edge.
+    let mappings = MappingVocab::resolve(dict);
 
     // Step 3 + Figure 8, stage 1: level-synchronous BFS discovery.
     //
@@ -308,7 +308,7 @@ pub fn trace(
                     Direction::Downstream => (from, to),
                     Direction::Upstream => (to, from),
                 };
-                let condition = conditions.get(&(from, to)).cloned();
+                let condition = mappings.and_then(|m| m.condition(graph, dict, from, to));
                 if let Some(filter) = request.rule_condition_filter.as_deref() {
                     match &condition {
                         Some(c) if c.contains(filter) => {}
@@ -502,36 +502,53 @@ impl PathWalker<'_> {
     }
 }
 
-/// Collects rule conditions from reified mapping nodes:
-/// `m dt:mapsFrom a . m dt:mapsTo b . m dt:ruleCondition "…"` →
-/// `(a, b) → "…"`.
-fn mapping_conditions(
-    graph: &EntailedGraph<'_>,
-    dict: &Dictionary,
-) -> HashMap<(TermId, TermId), String> {
-    let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
-    let mut out = HashMap::new();
-    let (Some(maps_from), Some(maps_to)) = (lookup(vocab::cs::MAPS_FROM), lookup(vocab::cs::MAPS_TO))
-    else {
-        return out;
-    };
-    let Some(rule_cond) = lookup(vocab::cs::RULE_CONDITION) else {
-        return out;
-    };
-    for from_edge in graph.scan(TriplePattern::with_p(maps_from)) {
-        let mapping = from_edge.s;
-        let Some(to_edge) = graph.scan(TriplePattern::with_sp(mapping, maps_to)).next() else {
-            continue;
-        };
-        let Some(cond_edge) = graph.scan(TriplePattern::with_sp(mapping, rule_cond)).next()
-        else {
-            continue;
-        };
-        if let Some(Term::Literal(lit)) = dict.term(cond_edge.o) {
-            out.insert((from_edge.o, to_edge.o), lit.lexical.to_string());
-        }
+/// The vocabulary of reified mappings,
+/// `?m dt:mapsFrom a . ?m dt:mapsTo b . ?m dt:ruleCondition "…"`, resolved
+/// once per call; `None` when the dictionary lacks any of it.
+#[derive(Clone, Copy)]
+struct MappingVocab {
+    maps_from: TermId,
+    maps_to: TermId,
+    rule_condition: TermId,
+}
+
+impl MappingVocab {
+    fn resolve(dict: &Dictionary) -> Option<Self> {
+        let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
+        Some(MappingVocab {
+            maps_from: lookup(vocab::cs::MAPS_FROM)?,
+            maps_to: lookup(vocab::cs::MAPS_TO)?,
+            rule_condition: lookup(vocab::cs::RULE_CONDITION)?,
+        })
     }
-    out
+
+    /// The rule condition of the mapping edge `from → to`: among the
+    /// mappings `?m dt:mapsFrom from` whose first `dt:mapsTo` is `to` and
+    /// whose first `dt:ruleCondition` is a literal, the last in scan order
+    /// (mapping-id order) wins. A few point lookups per walked edge, so a
+    /// walk pays for the mappings it touches, not for every mapping in the
+    /// graph.
+    fn condition(
+        self,
+        graph: &EntailedGraph<'_>,
+        dict: &Dictionary,
+        from: TermId,
+        to: TermId,
+    ) -> Option<String> {
+        let first = |s: TermId, p: TermId| graph.scan(TriplePattern::with_sp(s, p)).next();
+        let mut condition = None;
+        for mapping in graph.scan(TriplePattern::with_po(self.maps_from, from)) {
+            if first(mapping.s, self.maps_to).map(|t| t.o) != Some(to) {
+                continue;
+            }
+            if let Some(Term::Literal(lit)) =
+                first(mapping.s, self.rule_condition).and_then(|t| dict.term(t.o))
+            {
+                condition = Some(lit);
+            }
+        }
+        condition.map(|lit| lit.lexical.to_string())
+    }
 }
 
 /// Aggregated impact of a change: reached items grouped by the schema they
@@ -636,7 +653,7 @@ pub fn drill_down(
     else {
         return Vec::new();
     };
-    let conditions = mapping_conditions(graph, dict);
+    let mappings = MappingVocab::resolve(dict);
     let in_schema_check = |item: TermId, schema: TermId| -> bool {
         graph.contains(mdw_rdf::triple::Triple::new(item, in_schema, schema))
     };
@@ -646,7 +663,7 @@ pub fn drill_down(
         .map(|t| Hop {
             from: dict.term_unchecked(t.s).clone(),
             to: dict.term_unchecked(t.o).clone(),
-            condition: conditions.get(&(t.s, t.o)).cloned(),
+            condition: mappings.and_then(|m| m.condition(graph, dict, t.s, t.o)),
         })
         .collect();
     hops.sort_by(|a, b| a.from.cmp(&b.from).then_with(|| a.to.cmp(&b.to)));
@@ -656,7 +673,9 @@ pub fn drill_down(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdw_rdf::frozen::{DeltaRun, FrozenGraph, FrozenIndex, FrozenStore};
     use mdw_rdf::store::Store;
+    use std::sync::Arc;
     use mdw_reason::{Materialization, Rulebase};
 
     /// The Figure 2/3/8 fixture: client_information_id → partner_id →
@@ -711,7 +730,7 @@ mod tests {
     fn run(store: &Store, m: &Materialization, req: LineageRequest) -> LineageResult {
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()))
             .with_budget(req.budget.clone());
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.derived());
         trace(&view, &ctx, &req)
     }
 
@@ -892,7 +911,7 @@ mod tests {
     fn schema_flow_aggregates() {
         let (store, m) = setup();
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.derived());
         let flows = schema_flow(&view, &ctx);
         assert_eq!(flows.len(), 2);
         assert!(flows.iter().any(|f| f.source_schema == dwh("schema_inbound")
@@ -904,7 +923,7 @@ mod tests {
     fn impact_summary_groups_by_schema() {
         let (store, m) = setup();
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.derived());
         let result = trace(
             &view,
             &ctx,
@@ -922,7 +941,7 @@ mod tests {
     fn drill_down_expands_one_pair() {
         let (store, m) = setup();
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.derived());
         let hops = drill_down(
             &view,
             &ctx,
@@ -936,5 +955,151 @@ mod tests {
         // Unknown pair → empty.
         assert!(drill_down(&view, &ctx, &dwh("schema_app1"), &dwh("schema_inbound"))
             .is_empty());
+    }
+
+    /// Rule conditions the way they were read before the per-edge lookup:
+    /// one global `(from, to) → condition` map over every `dt:mapsFrom`
+    /// triple in scan order, the last insert winning.
+    fn global_conditions(
+        graph: &EntailedGraph<'_>,
+        dict: &Dictionary,
+    ) -> HashMap<(TermId, TermId), String> {
+        let lookup = |iri: &str| dict.lookup(&Term::iri(iri)).unwrap();
+        let (maps_from, maps_to) = (lookup(vocab::cs::MAPS_FROM), lookup(vocab::cs::MAPS_TO));
+        let rule_cond = lookup(vocab::cs::RULE_CONDITION);
+        let mut out = HashMap::new();
+        for from_edge in graph.scan(TriplePattern::with_p(maps_from)) {
+            let mapping = from_edge.s;
+            let Some(to_edge) = graph.scan(TriplePattern::with_sp(mapping, maps_to)).next() else {
+                continue;
+            };
+            let Some(cond_edge) = graph.scan(TriplePattern::with_sp(mapping, rule_cond)).next()
+            else {
+                continue;
+            };
+            if let Some(Term::Literal(lit)) = dict.term(cond_edge.o) {
+                out.insert((from_edge.o, to_edge.o), lit.lexical.to_string());
+            }
+        }
+        out
+    }
+
+    /// A chain `ca → cb → cc → cd → ce` (schemas s1, s2, s1, s2, s3) whose
+    /// reified mappings cover every lookup case, as a solid snapshot and as
+    /// a stacked one: asserted facts with a delta run on top (one of them
+    /// tombstoned) and an entailment index extended with that run.
+    fn condition_fixtures() -> Vec<(&'static str, QueryContext, Materialization)> {
+        let dt = |l: &str| Term::iri(vocab::cs::dt(l));
+        let dm = |l: &str| Term::iri(vocab::cs::dm(l));
+        let iri = |s: &str| Term::iri(s);
+        let reified = |m: &str, from: &str, to: &str, cond: Option<Term>| {
+            let mut t = vec![
+                (dwh(m), iri(vocab::rdf::TYPE), dt("Mapping")),
+                (dwh(m), iri(vocab::cs::MAPS_FROM), dwh(from)),
+                (dwh(m), iri(vocab::cs::MAPS_TO), dwh(to)),
+            ];
+            t.extend(cond.map(|c| (dwh(m), iri(vocab::cs::RULE_CONDITION), c)));
+            t
+        };
+        let mut asserted = vec![(dt("Mapping"), iri(vocab::rdfs::SUB_CLASS_OF), dt("Transfer"))];
+        // Ballast, so the index's delta run stacks instead of folding.
+        for i in 0..64 {
+            asserted.push((dwh(&format!("ballast{i}")), iri(vocab::rdf::TYPE), dt("Mapping")));
+        }
+        for (a, b) in [("ca", "cb"), ("cb", "cc"), ("cc", "cd"), ("cd", "ce")] {
+            asserted.push((dwh(a), iri(vocab::cs::IS_MAPPED_TO), dwh(b)));
+        }
+        let schemas = [("ca", "s1"), ("cb", "s2"), ("cc", "s1"), ("cd", "s2"), ("ce", "s3")];
+        for (item, schema) in schemas {
+            asserted.push((dwh(item), iri(vocab::cs::IN_SCHEMA), dwh(schema)));
+        }
+        // Two mappings on one pair: the later id wins.
+        asserted.extend(reified("m_ab1", "ca", "cb", Some(Term::plain("rule one"))));
+        // Points elsewhere: `cb → cc` has no condition.
+        asserted.extend(reified("m_bx", "cb", "cx", Some(Term::plain("rule elsewhere"))));
+        // No condition at all.
+        asserted.extend(reified("m_cd", "cc", "cd", None));
+        asserted.extend(reified("m_de1", "cd", "ce", Some(Term::plain("rule de"))));
+        // Delivered later: the winner on `ca → cb`, a non-literal
+        // condition on `cd → ce` (skipped, so "rule de" stands), and the
+        // tombstoned condition of a mapping the delivery retracts.
+        let mut delivered = reified("m_ab2", "ca", "cb", Some(Term::plain("rule two")));
+        delivered.extend(reified("m_de2", "cd", "ce", Some(dm("SomeRule"))));
+        let retracted =
+            (dwh("m_bx"), iri(vocab::cs::RULE_CONDITION), Term::plain("rule elsewhere"));
+
+        let mut store = Store::new();
+        store.create_model("m").unwrap();
+        store.create_model("delivered").unwrap();
+        let rb = Rulebase::owlprime(store.dict_mut());
+        for (s, p, o) in &asserted {
+            store.insert("m", s, p, o).unwrap();
+        }
+        for (s, p, o) in &delivered {
+            store.insert("delivered", s, p, o).unwrap();
+        }
+        let id = |t: &Term| store.encode(t).unwrap().0;
+        let tombstone = (id(&retracted.0), id(&retracted.1), id(&retracted.2));
+        let before = store.model("m").unwrap().freeze();
+        let run = DeltaRun::new(
+            store.model("delivered").unwrap().freeze().index().clone(),
+            FrozenIndex::from_spo_rows(vec![tombstone]),
+        );
+        let new_facts: Vec<_> = run.adds().iter().collect();
+        let stacked = FrozenGraph::stacked(Arc::clone(before.base_arc()), vec![Arc::new(run)]);
+        let solid = FrozenGraph::new(stacked.compact());
+
+        let dict = Arc::new(store.dict().clone());
+        let context = |graph: FrozenGraph| {
+            let models = BTreeMap::from([("m".to_string(), Arc::new(graph))]);
+            QueryContext::new(Arc::new(FrozenStore::new(0, Arc::clone(&dict), models)))
+        };
+        let full = Materialization::materialize(&solid, &rb, &dict);
+        let mut extended = Materialization::materialize(&before, &rb, &dict);
+        extended.extend(&stacked, &rb, &dict, &new_facts);
+        assert!(stacked.is_stacked() && extended.derived().is_stacked());
+        vec![("solid", context(solid), full), ("stacked", context(stacked), extended)]
+    }
+
+    #[test]
+    fn per_edge_conditions_match_the_global_map() {
+        for (label, ctx, m) in condition_fixtures() {
+            let dict = ctx.dict();
+            let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.derived());
+            let global = global_conditions(&view, dict);
+            let expected = |from: &Term, to: &Term| {
+                global.get(&(dict.lookup(from).unwrap(), dict.lookup(to).unwrap())).cloned()
+            };
+            assert_eq!(expected(&dwh("ca"), &dwh("cb")).as_deref(), Some("rule two"), "{label}");
+            assert_eq!(expected(&dwh("cb"), &dwh("cc")), None, "{label}");
+            assert_eq!(expected(&dwh("cc"), &dwh("cd")), None, "{label}");
+            assert_eq!(expected(&dwh("cd"), &dwh("ce")).as_deref(), Some("rule de"), "{label}");
+
+            let cases = [
+                (LineageRequest::downstream(dwh("ca")), vec!["cb", "cc", "cd", "ce"]),
+                (LineageRequest::upstream(dwh("ce")), vec!["ca", "cb", "cc", "cd"]),
+                (LineageRequest::downstream(dwh("ca")).with_rule_filter("rule"), vec!["cb"]),
+                (LineageRequest::downstream(dwh("ca")).with_rule_filter("two"), vec!["cb"]),
+                (LineageRequest::downstream(dwh("ca")).with_rule_filter("one"), vec![]),
+                (LineageRequest::downstream(dwh("cc")).with_rule_filter("rule"), vec![]),
+                (LineageRequest::upstream(dwh("ce")).with_rule_filter("de"), vec!["cd"]),
+            ];
+            for (request, reached) in cases {
+                let result = trace(&view, &ctx, &request);
+                let nodes: Vec<Term> = result.endpoints.iter().map(|e| e.node.clone()).collect();
+                let want: Vec<Term> = reached.iter().map(|l| dwh(l)).collect();
+                assert_eq!(nodes, want, "{label}: {request:?}");
+                for hop in result.paths.iter().flat_map(|p| &p.hops) {
+                    assert_eq!(hop.condition, expected(&hop.from, &hop.to), "{label}: {hop:?}");
+                }
+            }
+            for (src, dst, n) in [("s1", "s2", 2), ("s2", "s1", 1), ("s2", "s3", 1)] {
+                let hops = drill_down(&view, &ctx, &dwh(src), &dwh(dst));
+                assert_eq!(hops.len(), n, "{label}: {src} → {dst}");
+                for hop in &hops {
+                    assert_eq!(hop.condition, expected(&hop.from, &hop.to), "{label}: {hop:?}");
+                }
+            }
+        }
     }
 }

@@ -504,33 +504,39 @@ fn distinct_type_objects(
 ) -> BTreeSet<TermId> {
     let pattern = TriplePattern::with_p(ty);
     if !policy.is_parallel() {
-        return graph.scan(pattern).map(|t| t.o).collect();
+        return distinct_objects(graph.scan(pattern));
     }
     let chunks = policy.threads.max(1);
-    // A stacked base degrades to one merged partition (see
-    // `FrozenGraph::scan_partitions`); solid bases split as before.
+    // A stacked side degrades to one merged partition (see
+    // `FrozenGraph::scan_partitions`); solid sides split as before.
     let mut runs = graph.base().scan_partitions(pattern, chunks);
-    runs.extend(
-        graph
-            .derived()
-            .run_partitions(pattern, chunks)
-            .into_iter()
-            .map(mdw_rdf::GraphScan::Run),
-    );
+    runs.extend(graph.derived().scan_partitions(pattern, chunks));
     // The items here are whole runs, so chunk by run count, not row count.
     let per_run =
         mdw_rdf::par::ParallelPolicy::new(policy.threads).with_min_partition_rows(1);
     mdw_rdf::par::map_chunks(&per_run, &runs, |chunk| {
-        chunk
-            .iter()
-            .flat_map(|run| run.clone().map(|t| t.o))
-            .collect::<BTreeSet<TermId>>()
+        distinct_objects(chunk.iter().flat_map(|run| run.clone()))
     })
     .into_iter()
     .fold(BTreeSet::new(), |mut acc, mut set| {
         acc.append(&mut set);
         acc
     })
+}
+
+/// The distinct objects of a predicate scan. The scan runs in POS order,
+/// so each object's rows are adjacent and only the first of them touches
+/// the set.
+fn distinct_objects(scan: impl Iterator<Item = Triple>) -> BTreeSet<TermId> {
+    let mut set = BTreeSet::new();
+    let mut last = None;
+    for t in scan {
+        if last != Some(t.o) {
+            last = Some(t.o);
+            set.insert(t.o);
+        }
+    }
+    set
 }
 
 /// The stateful admission step both scan paths run sequentially, in scan
@@ -628,7 +634,7 @@ mod tests {
     fn run(store: &Store, m: &Materialization, req: SearchRequest) -> SearchResults {
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()))
             .with_budget(req.budget.clone());
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.derived());
         search(&view, &ctx, &SynonymTable::banking(), &req)
     }
 
@@ -760,7 +766,7 @@ mod tests {
         }
         let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.derived());
         let results = search(
             &view,
             &ctx,
@@ -845,7 +851,7 @@ mod tests {
         let rb = Rulebase::owlprime(store.dict_mut());
         let m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.derived());
         let results = search(
             &view,
             &ctx,

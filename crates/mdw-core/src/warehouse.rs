@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use mdw_rdf::budget::{Completeness, QueryBudget, TimeSource, TruncationReason};
-use mdw_rdf::frozen::{FrozenGraph, FrozenIndex, FrozenStore};
+use mdw_rdf::frozen::{FrozenGraph, FrozenStore};
 use mdw_rdf::journal::JournalOp;
 use mdw_rdf::lsm::{LsmConfig, LsmOpenReport, LsmStore};
 use mdw_rdf::par::ParallelPolicy;
@@ -541,7 +541,7 @@ impl MetadataWarehouse {
     /// exist through the indexes".
     pub fn entailed(&self) -> Result<EntailedGraph<'_>, MdwError> {
         let m = self.materialization.as_ref().ok_or(MdwError::IndexNotBuilt)?;
-        Ok(EntailedGraph::new(self.graph()?, m.frozen()))
+        Ok(EntailedGraph::new(self.graph()?, m.derived()))
     }
 
     /// Freezes this warehouse into a shared service handle. The warehouse
@@ -594,9 +594,9 @@ impl MetadataWarehouse {
         }
     }
 
-    fn empty_index() -> &'static FrozenIndex {
-        static EMPTY: OnceLock<FrozenIndex> = OnceLock::new();
-        EMPTY.get_or_init(|| FrozenIndex::from_spo_rows(Vec::new()))
+    fn empty_index() -> &'static FrozenGraph {
+        static EMPTY: OnceLock<FrozenGraph> = OnceLock::new();
+        EMPTY.get_or_init(FrozenGraph::default)
     }
 
     /// The view a query runs against, plus whether it is degraded: the
@@ -855,7 +855,7 @@ impl MetadataWarehouse {
 
     /// Number of derived triples in the semantic index (0 if not built).
     pub fn derived_count(&self) -> usize {
-        self.materialization.as_ref().map_or(0, |m| m.derived().len())
+        self.materialization.as_ref().map_or(0, |m| m.stats().derived)
     }
 
     /// Takes a full historization snapshot of the current model: a

@@ -1099,7 +1099,10 @@ impl Inner {
             st.compacting = true;
             let fold = st.sealed.clone();
             let folded_seq = fold.last().expect("non-empty").last_seq;
-            (fold, st.base.clone(), st.dict.clone(), folded_seq)
+            // Only a durable store writes the dictionary into its snapshot;
+            // a volatile one skips the copy, which grows with every term.
+            let dict = self.dir.as_ref().map(|_| st.dict.clone());
+            (fold, st.base.clone(), dict, folded_seq)
         };
         let folded_stems: BTreeSet<&str> = fold.iter().map(|r| r.stem.as_str()).collect();
 
@@ -1121,14 +1124,14 @@ impl Inner {
                 let stacked = FrozenGraph::stacked(solid, deltas);
                 new_base.insert(name.clone(), Arc::new(stacked.compact()));
             }
-            if let Some(dir) = &self.dir {
+            if let (Some(dir), Some(dict)) = (&self.dir, &dict) {
                 let models: BTreeMap<String, Arc<FrozenGraph>> = new_base
                     .iter()
                     .map(|(n, idx)| {
                         (n.clone(), Arc::new(FrozenGraph::from_arc(Arc::clone(idx))))
                     })
                     .collect();
-                save_frozen_snapshot(&dict, &models, dir, folded_seq)?;
+                save_frozen_snapshot(dict, &models, dir, folded_seq)?;
             }
             Ok(new_base)
         })();

@@ -83,8 +83,8 @@ pub enum Scan<'a> {
     Chained {
         /// Asserted triples (merged view of the base graph).
         first: GraphScan<'a>,
-        /// Derived triples.
-        second: FrozenRun<'a>,
+        /// Derived triples (merged view of the entailment index).
+        second: GraphScan<'a>,
     },
 }
 
@@ -116,10 +116,8 @@ impl Iterator for Scan<'_> {
             Scan::Merged(m) => m.size_hint(),
             Scan::Chained { first, second } => {
                 let (lo, hi) = first.size_hint();
-                (
-                    lo + second.len(),
-                    hi.map(|h| h + second.len()),
-                )
+                let (lo2, hi2) = second.size_hint();
+                (lo + lo2, hi.zip(hi2).map(|(a, b)| a + b))
             }
         }
     }

@@ -6,18 +6,34 @@
 //! every round, each rule is evaluated once per body-atom position, with that
 //! atom restricted to the previous round's delta — so work is proportional to
 //! new facts, not to the whole graph, after the first round.
+//!
+//! The index is stored as frozen columns stacked like an LSM store's runs:
+//! a solid base plus at most one [`DeltaRun`]. A build saturates into a
+//! transient mutable set and freezes it once. An extension saturates over
+//! base ∪ frozen index ∪ its own small set, then folds only what it found
+//! into the delta run, so a delivery pays for its consequences, not for the
+//! whole index. The delta run folds into the solid base once it reaches
+//! [`FOLD_DIVISOR`]⁻¹ of it.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::frozen::FrozenIndex;
+use mdw_rdf::frozen::{DeltaRun, FrozenGraph, FrozenIndex};
 use mdw_rdf::index::TripleIndex;
-use mdw_rdf::frozen::FrozenGraph;
 use mdw_rdf::triple::{Triple, TriplePattern};
 
 use crate::rule::{Rule, RuleAtom, RuleTerm};
 use crate::rulebase::Rulebase;
+
+/// The delta run folds into the solid base once its rows (adds plus
+/// tombstones) exceed `1 / FOLD_DIVISOR` of the base's. Every scan of a
+/// stacked index pays a merge across the two runs, and every extension
+/// re-merges the whole delta run, so the run must stay small next to the
+/// base; a fold costs one pass over the base, so folding at a fixed
+/// fraction spreads that pass over the many deliveries that filled the run
+/// (each delivery's share of it stays constant as the index grows).
+pub const FOLD_DIVISOR: usize = 8;
 
 /// Statistics from a materialization run.
 #[derive(Debug, Clone, Default)]
@@ -32,26 +48,30 @@ pub struct MaterializeStats {
 
 /// The result of materializing a rulebase over a base graph: the entailment
 /// index plus run statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Materialization {
-    derived: TripleIndex,
+    /// The entailment index: a solid base plus at most one delta run.
+    derived: FrozenGraph,
     stats: MaterializeStats,
-    /// Cached frozen form of `derived`, rebuilt lazily after each extension.
-    frozen: OnceLock<Arc<FrozenIndex>>,
 }
 
 impl Materialization {
     /// Runs the rulebase over the base graph to fixpoint.
     pub fn materialize(base: &FrozenGraph, rulebase: &Rulebase, dict: &Dictionary) -> Self {
-        let mut m = Materialization::default();
-        let delta: Vec<Triple> = base.iter().collect();
-        m.run(base, rulebase, dict, delta);
-        m
+        let mut stats = MaterializeStats::default();
+        let none = FrozenGraph::default();
+        let found =
+            Saturation::new(base, &none, dict, &mut stats).run(rulebase, base.iter().collect());
+        let derived = FrozenGraph::new(FrozenIndex::from_index(&found));
+        stats.derived = derived.len();
+        Materialization { derived, stats }
     }
 
     /// Incrementally extends an existing materialization after `new_facts`
     /// have been inserted into `base`. Only consequences of the new facts
-    /// (transitively) are computed.
+    /// (transitively) are computed, and only they are written: into the
+    /// index's one delta run, which folds into its base at the
+    /// [`FOLD_DIVISOR`] threshold.
     pub fn extend(
         &mut self,
         base: &FrozenGraph,
@@ -60,61 +80,102 @@ impl Materialization {
         new_facts: &[Triple],
     ) {
         // A newly asserted fact may already have been *derived* — it moves
-        // from the index to the base, preserving the invariant that the two
-        // are disjoint (the entailed view's union scans rely on it).
-        self.frozen.take();
-        for &t in new_facts {
-            self.derived.remove(t);
+        // from the index to the base: a tombstone hides it in the index,
+        // preserving the invariant that the two are disjoint (the entailed
+        // view's union scans rely on it). While the run below is under way
+        // such a fact is in both, which can repeat a join match but never
+        // a derivation (the head check sees the base first).
+        let moved: Vec<_> = new_facts
+            .iter()
+            .filter(|&&t| self.derived.contains(t))
+            .map(|t| t.as_tuple())
+            .collect();
+        let found = Saturation::new(base, &self.derived, dict, &mut self.stats)
+            .run(rulebase, new_facts.to_vec());
+        let newer =
+            DeltaRun::new(FrozenIndex::from_index(&found), FrozenIndex::from_spo_rows(moved));
+        if newer.is_empty() {
+            return;
         }
-        self.run(base, rulebase, dict, new_facts.to_vec());
-        self.stats.derived = self.derived.len();
+        // Additions are new to the merged index and tombstones were in it,
+        // so the count moves by exactly their difference.
+        self.stats.derived = self.stats.derived + newer.adds().len() - newer.dels().len();
+        let delta = match self.derived.deltas() {
+            [] => newer,
+            [older] => older.then(&newer),
+            _ => unreachable!("the entailment index stacks at most one delta run"),
+        };
+        let solid = Arc::clone(self.derived.base_arc());
+        let fold = delta.ops() * FOLD_DIVISOR > solid.len();
+        let stacked = FrozenGraph::stacked(solid, vec![Arc::new(delta)]);
+        self.derived = if fold { FrozenGraph::new(stacked.compact()) } else { stacked };
     }
 
-    /// The entailment index (derived triples only).
-    pub fn derived(&self) -> &TripleIndex {
+    /// The entailment index (derived triples only): a solid base plus at
+    /// most one delta run. This is what query snapshots scan.
+    pub fn derived(&self) -> &FrozenGraph {
         &self.derived
-    }
-
-    /// The frozen (columnar) form of the entailment index, built once per
-    /// extension and cached. This is what query snapshots scan.
-    pub fn frozen(&self) -> &FrozenIndex {
-        self.frozen_arc()
-    }
-
-    /// The shared handle of the frozen entailment index, for owning
-    /// snapshots handed to worker threads.
-    pub fn frozen_arc(&self) -> &Arc<FrozenIndex> {
-        self.frozen
-            .get_or_init(|| Arc::new(FrozenIndex::from_index(&self.derived)))
     }
 
     /// Run statistics.
     pub fn stats(&self) -> &MaterializeStats {
         &self.stats
     }
+}
 
-    fn run(&mut self, base: &FrozenGraph, rulebase: &Rulebase, dict: &Dictionary, mut delta: Vec<Triple>) {
+impl Clone for Materialization {
+    /// Shares the frozen runs: a clone costs a few reference counts.
+    fn clone(&self) -> Self {
+        let derived = FrozenGraph::stacked(
+            Arc::clone(self.derived.base_arc()),
+            self.derived.deltas().to_vec(),
+        );
+        Materialization { derived, stats: self.stats.clone() }
+    }
+}
+
+/// One semi-naive saturation: rules are joined over the asserted base, the
+/// frozen index built so far, and the set this saturation derives, which
+/// it returns. The three are disjoint, except for asserted facts an
+/// extension has yet to tombstone in the index.
+struct Saturation<'a> {
+    base: &'a FrozenGraph,
+    derived: &'a FrozenGraph,
+    dict: &'a Dictionary,
+    found: TripleIndex,
+    stats: &'a mut MaterializeStats,
+}
+
+impl<'a> Saturation<'a> {
+    fn new(
+        base: &'a FrozenGraph,
+        derived: &'a FrozenGraph,
+        dict: &'a Dictionary,
+        stats: &'a mut MaterializeStats,
+    ) -> Self {
+        Saturation { base, derived, dict, found: TripleIndex::new(), stats }
+    }
+
+    fn run(mut self, rulebase: &Rulebase, mut delta: Vec<Triple>) -> TripleIndex {
         if rulebase.is_empty() {
-            return;
+            return self.found;
         }
         while !delta.is_empty() {
             self.stats.rounds += 1;
             let mut new_delta: Vec<Triple> = Vec::new();
             for rule in &rulebase.rules {
                 for delta_pos in 0..rule.body.len() {
-                    self.eval_rule(base, dict, rule, delta_pos, &delta, &mut new_delta);
+                    self.eval_rule(rule, delta_pos, &delta, &mut new_delta);
                 }
             }
             delta = new_delta;
         }
-        self.stats.derived = self.derived.len();
+        self.found
     }
 
     /// Evaluates one rule with body atom `delta_pos` restricted to the delta.
     fn eval_rule(
         &mut self,
-        base: &FrozenGraph,
-        dict: &Dictionary,
         rule: &Rule,
         delta_pos: usize,
         delta: &[Triple],
@@ -129,22 +190,35 @@ impl Materialization {
             .filter(|(i, _)| *i != delta_pos)
             .map(|(_, a)| *a)
             .collect();
+        // A body atom that nothing matches yet cannot join, so the rule
+        // derives nothing this round. A fact that matches it later is in a
+        // later round's delta, where the rule is evaluated with that atom
+        // restricted to it against everything known by then.
+        if rest.iter().any(|a| !self.any_match(a.pattern(&[]))) {
+            return;
+        }
         for &t in delta {
             bindings.iter_mut().for_each(|b| *b = None);
             if !unify(delta_atom, t, &mut bindings) {
                 continue;
             }
-            self.join_rest(base, dict, rule, &rest, 0, &mut bindings, new_delta);
+            self.join_rest(rule, &rest, 0, &mut bindings, new_delta);
         }
+    }
+
+    /// Whether base, index or this saturation holds a match for the
+    /// pattern (an upper bound on the frozen sides: a tombstone can only
+    /// make a match go away).
+    fn any_match(&self, pattern: TriplePattern) -> bool {
+        self.base.estimate_upto(pattern, 1) > 0
+            || self.derived.estimate_upto(pattern, 1) > 0
+            || self.found.scan(pattern).next().is_some()
     }
 
     /// Joins remaining body atoms depth-first; on a full match, emits the
     /// head triple if it is well-formed and new.
-    #[allow(clippy::too_many_arguments)]
     fn join_rest(
         &mut self,
-        base: &FrozenGraph,
-        dict: &Dictionary,
         rule: &Rule,
         rest: &[RuleAtom],
         pos: usize,
@@ -152,19 +226,16 @@ impl Materialization {
         new_delta: &mut Vec<Triple>,
     ) {
         if pos == rest.len() {
-            self.emit_head(base, dict, rule, bindings, new_delta);
+            self.emit_head(rule, bindings, new_delta);
             return;
         }
         let atom = rest[pos];
-        let pattern = TriplePattern {
-            s: atom.s.resolve(bindings),
-            p: atom.p.resolve(bindings),
-            o: atom.o.resolve(bindings),
-        };
-        // Scan base and derived; they are disjoint by construction.
-        let matches: Vec<Triple> = base
+        let pattern = atom.pattern(bindings);
+        let matches: Vec<Triple> = self
+            .base
             .scan(pattern)
             .chain(self.derived.scan(pattern))
+            .chain(self.found.scan(pattern))
             .collect();
         // The variables this atom may bind; unbinding exactly those after
         // each match restores the environment without copying it.
@@ -178,7 +249,7 @@ impl Materialization {
         }
         for t in matches {
             if unify(atom, t, bindings) {
-                self.join_rest(base, dict, rule, rest, pos + 1, bindings, new_delta);
+                self.join_rest(rule, rest, pos + 1, bindings, new_delta);
             }
             for v in fresh.into_iter().flatten() {
                 bindings[v] = None;
@@ -186,14 +257,7 @@ impl Materialization {
         }
     }
 
-    fn emit_head(
-        &mut self,
-        base: &FrozenGraph,
-        dict: &Dictionary,
-        rule: &Rule,
-        bindings: &[Option<TermId>],
-        new_delta: &mut Vec<Triple>,
-    ) {
+    fn emit_head(&mut self, rule: &Rule, bindings: &[Option<TermId>], new_delta: &mut Vec<Triple>) {
         let (Some(s), Some(p), Some(o)) = (
             rule.head.s.resolve(bindings),
             rule.head.p.resolve(bindings),
@@ -203,19 +267,19 @@ impl Materialization {
         };
         // RDF well-formedness of derived triples: no literal subjects, no
         // non-IRI predicates (can arise from rdfs3-range on literal objects).
-        match dict.term(s) {
+        match self.dict.term(s) {
             Some(term) if term.is_subject_capable() => {}
             _ => return,
         }
-        match dict.term(p) {
+        match self.dict.term(p) {
             Some(term) if term.is_iri() => {}
             _ => return,
         }
         let t = Triple::new(s, p, o);
-        if base.contains(t) || self.derived.contains(t) {
+        if self.base.contains(t) || self.derived.contains(t) || self.found.contains(t) {
             return;
         }
-        self.derived.insert(t);
+        self.found.insert(t);
         *self.stats.per_rule.entry(rule.name).or_insert(0) += 1;
         new_delta.push(t);
     }
@@ -527,5 +591,75 @@ mod tests {
         );
         assert!(stats.per_rule.contains_key("rdfs11-subclass-transitivity"));
         assert!(stats.per_rule.contains_key("rdfs9-type-inheritance"));
+    }
+
+    /// Inserts one IRI fact and extends `m` with it.
+    fn assert_and_extend(
+        store: &mut Store,
+        m: &mut Materialization,
+        rb: &Rulebase,
+        (s, p, o): (&str, &str, &str),
+    ) {
+        insert(store, s, p, o);
+        let t = Triple::new(
+            store.encode(&Term::iri(s)).unwrap(),
+            store.encode(&Term::iri(p)).unwrap(),
+            store.encode(&Term::iri(o)).unwrap(),
+        );
+        m.extend(&store.model("m").unwrap().freeze(), rb, store.dict(), &[t]);
+    }
+
+    /// The extended index reads exactly as a build from scratch, and its
+    /// count is the merged row count.
+    fn assert_equals_rebuild(store: &Store, m: &Materialization, rb: &Rulebase) {
+        let full = Materialization::materialize(&store.model("m").unwrap().freeze(), rb, store.dict());
+        let inc: Vec<_> = m.derived().iter().collect();
+        let fl: Vec<_> = full.derived().iter().collect();
+        assert_eq!(inc, fl);
+        assert_eq!(m.stats().derived, inc.len());
+    }
+
+    #[test]
+    fn extension_stacks_one_delta_run_and_folds_at_the_threshold() {
+        let (mut store, rb) = setup();
+        insert(&mut store, "C0", vocab::rdfs::SUB_CLASS_OF, "C1");
+        for i in 0..64 {
+            insert(&mut store, &format!("x{i}"), vocab::rdf::TYPE, "C0");
+        }
+        let mut m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
+        assert_eq!(m.stats().derived, 64);
+        assert!(!m.derived().is_stacked());
+        // Each delivery derives one row. The ninth row in the delta run
+        // crosses 64 / FOLD_DIVISOR and folds it into the base.
+        for i in 0..16 {
+            let y = format!("y{i}");
+            assert_and_extend(&mut store, &mut m, &rb, (&y, vocab::rdf::TYPE, "C0"));
+            assert!(m.derived().deltas().len() <= 1, "stack depth exceeds one delta run");
+            assert_eq!(m.derived().is_stacked(), i != 8, "delivery {i}");
+            assert_equals_rebuild(&store, &m, &rb);
+        }
+        assert_eq!(m.derived().index().len(), 64 + 9);
+    }
+
+    #[test]
+    fn asserting_a_derived_triple_tombstones_it() {
+        let (mut store, rb) = setup();
+        insert(&mut store, "C0", vocab::rdfs::SUB_CLASS_OF, "C1");
+        for i in 0..16 {
+            insert(&mut store, &format!("x{i}"), vocab::rdf::TYPE, "C0");
+        }
+        let mut m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
+        assert!(derived_contains(&store, &m, "x0", vocab::rdf::TYPE, "C1"));
+        // The source now asserts what the index derived.
+        assert_and_extend(&mut store, &mut m, &rb, ("x0", vocab::rdf::TYPE, "C1"));
+        assert!(!derived_contains(&store, &m, "x0", vocab::rdf::TYPE, "C1"));
+        let run = &m.derived().deltas()[0];
+        assert_eq!((run.adds().len(), run.dels().len()), (0, 1));
+        assert_equals_rebuild(&store, &m, &rb);
+        // A later extension keeps the tombstone while adding on top.
+        assert_and_extend(&mut store, &mut m, &rb, ("y0", vocab::rdf::TYPE, "C0"));
+        let run = &m.derived().deltas()[0];
+        assert_eq!((run.adds().len(), run.dels().len()), (1, 1));
+        assert_equals_rebuild(&store, &m, &rb);
     }
 }

@@ -5,13 +5,11 @@
 //! implements [`TripleSource`], so the SPARQL executor can run over it
 //! exactly as it runs over a plain graph — this is what "the query
 //! references the OWL index" means in the paper: same query shape, denser
-//! graph. Both sides are immutable sorted columns, so a pattern scan is two
-//! contiguous slice runs chained at scan time, with no locking, boxing, or
-//! allocation.
+//! graph. Both sides are immutable frozen graphs, so a pattern scan is the
+//! two sides' scans chained, with no locking or boxing: contiguous slice
+//! runs when a side is solid, a merge over its stacked runs when not.
 
-use std::sync::Arc;
-
-use mdw_rdf::frozen::{FrozenGraph, FrozenIndex};
+use mdw_rdf::frozen::FrozenGraph;
 use mdw_rdf::store::{Scan, TripleSource};
 use mdw_rdf::triple::{Triple, TriplePattern};
 
@@ -22,12 +20,12 @@ use mdw_rdf::triple::{Triple, TriplePattern};
 #[derive(Debug, Clone, Copy)]
 pub struct EntailedGraph<'a> {
     base: &'a FrozenGraph,
-    derived: &'a FrozenIndex,
+    derived: &'a FrozenGraph,
 }
 
 impl<'a> EntailedGraph<'a> {
     /// Creates the view.
-    pub fn new(base: &'a FrozenGraph, derived: &'a FrozenIndex) -> Self {
+    pub fn new(base: &'a FrozenGraph, derived: &'a FrozenGraph) -> Self {
         EntailedGraph { base, derived }
     }
 
@@ -37,15 +35,15 @@ impl<'a> EntailedGraph<'a> {
     }
 
     /// The derived part (the semantic index).
-    pub fn derived(&self) -> &'a FrozenIndex {
+    pub fn derived(&self) -> &'a FrozenGraph {
         self.derived
     }
 
-    /// Pattern scan over base ∪ derived: two frozen runs, chained.
+    /// Pattern scan over base ∪ derived: the two sides' scans, chained.
     pub fn scan(&self, pattern: TriplePattern) -> Scan<'a> {
         Scan::Chained {
             first: self.base.scan(pattern),
-            second: self.derived.run(pattern),
+            second: self.derived.scan(pattern),
         }
     }
 
@@ -75,47 +73,13 @@ impl TripleSource for EntailedGraph<'_> {
     }
 
     fn estimate(&self, pattern: TriplePattern, cap: usize) -> usize {
-        // Binary searches on both frozen sides; a stacked base answers with
-        // its cheap merged-view upper bound instead of paying a merge.
-        (self.base.estimate_upto(pattern, cap) + self.derived.count_exact(pattern)).min(cap)
+        // Binary searches on both sides; a stacked side answers with its
+        // cheap merged-view upper bound instead of paying a merge.
+        (self.base.estimate_upto(pattern, cap) + self.derived.estimate_upto(pattern, cap)).min(cap)
     }
 
     fn len_triples(&self) -> usize {
         self.len()
-    }
-}
-
-/// An owning, `Send + Sync` version of the entailed view: one frozen base
-/// snapshot plus one frozen entailment index, both shared by `Arc`.
-///
-/// Worker threads (concurrent SPARQL scans, the `mdwh drill overload`
-/// readers) each clone one of these for a few refcount bumps and evaluate
-/// against it with zero contention.
-#[derive(Debug, Clone)]
-pub struct EntailedSnapshot {
-    base: Arc<FrozenGraph>,
-    derived: Arc<FrozenIndex>,
-}
-
-impl EntailedSnapshot {
-    /// Bundles a base snapshot with its entailment index.
-    pub fn new(base: Arc<FrozenGraph>, derived: Arc<FrozenIndex>) -> Self {
-        EntailedSnapshot { base, derived }
-    }
-
-    /// The borrowed view for query evaluation.
-    pub fn view(&self) -> EntailedGraph<'_> {
-        EntailedGraph::new(&self.base, &self.derived)
-    }
-
-    /// The asserted-facts snapshot.
-    pub fn base(&self) -> &Arc<FrozenGraph> {
-        &self.base
-    }
-
-    /// The derived index.
-    pub fn derived(&self) -> &Arc<FrozenIndex> {
-        &self.derived
     }
 }
 
@@ -148,7 +112,7 @@ mod tests {
     fn view_sees_base_and_derived() {
         let (store, m) = setup();
         let g = store.model("m").unwrap().freeze();
-        let view = EntailedGraph::new(&g, m.frozen());
+        let view = EntailedGraph::new(&g, m.derived());
 
         let john = store.encode(&Term::iri("john")).unwrap();
         let ty = store.encode(&Term::iri(vocab::rdf::TYPE)).unwrap();
@@ -170,7 +134,7 @@ mod tests {
         let party = store.encode(&Term::iri("Party")).unwrap();
         let derived_triple = mdw_rdf::triple::Triple::new(john, ty, party);
         assert!(!g.contains(derived_triple));
-        let view = EntailedGraph::new(&g, m.frozen());
+        let view = EntailedGraph::new(&g, m.derived());
         assert!(view.contains(derived_triple));
     }
 
@@ -178,7 +142,7 @@ mod tests {
     fn no_duplicates_in_union_scan() {
         let (store, m) = setup();
         let g = store.model("m").unwrap().freeze();
-        let view = EntailedGraph::new(&g, m.frozen());
+        let view = EntailedGraph::new(&g, m.derived());
         let mut all: Vec<_> = view.scan(TriplePattern::any()).collect();
         let before = all.len();
         all.sort();
@@ -190,24 +154,8 @@ mod tests {
     fn estimate_caps() {
         let (store, m) = setup();
         let g = store.model("m").unwrap().freeze();
-        let view = EntailedGraph::new(&g, m.frozen());
+        let view = EntailedGraph::new(&g, m.derived());
         assert_eq!(view.estimate(TriplePattern::any(), 1), 1);
         assert_eq!(view.estimate(TriplePattern::any(), 1000), view.len());
-    }
-
-    #[test]
-    fn snapshot_view_is_send_and_owning() {
-        let (store, m) = setup();
-        let snap = EntailedSnapshot::new(
-            store.model("m").unwrap().freeze(),
-            std::sync::Arc::clone(m.frozen_arc()),
-        );
-        fn assert_send_sync<T: Send + Sync>(_: &T) {}
-        assert_send_sync(&snap);
-        let from_thread = std::thread::scope(|s| {
-            let snap = snap.clone();
-            s.spawn(move || snap.view().len()).join().unwrap()
-        });
-        assert_eq!(from_thread, snap.view().len());
     }
 }

@@ -17,8 +17,12 @@
 //!   domain/range, symmetric/transitive/inverse properties, equivalence,
 //!   `owl:sameAs`),
 //! * [`engine`] — semi-naive forward chaining that materializes derived
-//!   triples into a separate [`TripleIndex`](mdw_rdf::TripleIndex) (the
-//!   "semantic index"), with incremental extension when new facts arrive,
+//!   triples into a separate frozen index (the "semantic index"), with
+//!   incremental extension when new facts arrive. The index is stacked like
+//!   an LSM store: a solid base plus at most one delta run, into which an
+//!   extension folds only its own consequences (and tombstones for derived
+//!   triples that became asserted); the run folds into the base once it
+//!   reaches [`FOLD_DIVISOR`](engine::FOLD_DIVISOR)⁻¹ of it,
 //! * [`entailed::EntailedGraph`] — a [`TripleSource`](mdw_rdf::TripleSource)
 //!   view unioning a base graph with its entailment index, which is what a
 //!   query gets when it opts into `SEM_RULEBASES('OWLPRIME')`.
@@ -29,6 +33,6 @@ pub mod rule;
 pub mod rulebase;
 
 pub use engine::{Materialization, MaterializeStats};
-pub use entailed::{EntailedGraph, EntailedSnapshot};
+pub use entailed::EntailedGraph;
 pub use rule::{Rule, RuleAtom, RuleTerm};
 pub use rulebase::Rulebase;

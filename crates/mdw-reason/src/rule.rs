@@ -6,6 +6,7 @@
 //! [`Dictionary`](mdw_rdf::Dictionary).
 
 use mdw_rdf::dict::TermId;
+use mdw_rdf::triple::TriplePattern;
 
 /// A position in a rule atom: either a rule-scoped variable or a constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,6 +43,16 @@ impl RuleAtom {
     /// Creates an atom.
     pub fn new(s: RuleTerm, p: RuleTerm, o: RuleTerm) -> Self {
         RuleAtom { s, p, o }
+    }
+
+    /// The scan pattern of this atom under a binding environment: its
+    /// constants and bound variables, free variables left open.
+    pub fn pattern(&self, bindings: &[Option<TermId>]) -> TriplePattern {
+        TriplePattern {
+            s: self.s.resolve(bindings),
+            p: self.p.resolve(bindings),
+            o: self.o.resolve(bindings),
+        }
     }
 
     /// The highest variable index used in this atom, if any.

@@ -1,6 +1,7 @@
 //! Property-based tests for the inference engine: soundness against a
-//! transitive-closure oracle, monotonicity, fixpoint idempotence, and
-//! incremental-vs-full equivalence.
+//! transitive-closure oracle, monotonicity, fixpoint idempotence,
+//! incremental-vs-full equivalence, and stacked-index-vs-rebuild
+//! equivalence across delta-run folds and tombstones.
 
 use proptest::prelude::*;
 
@@ -8,7 +9,7 @@ use mdw_rdf::store::Store;
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::Triple;
 use mdw_rdf::vocab;
-use mdw_reason::{Materialization, Rulebase};
+use mdw_reason::{engine::FOLD_DIVISOR, Materialization, Rulebase};
 
 /// A random ontology-ish graph: subclass edges over a small class pool plus
 /// type edges from a small instance pool.
@@ -238,5 +239,81 @@ proptest! {
         let inc: Vec<Triple> = m.derived().iter().collect();
         let fl: Vec<Triple> = full.derived().iter().collect();
         prop_assert_eq!(inc, fl);
+    }
+
+    #[test]
+    fn stacked_extensions_equal_rebuild(
+        g in random_graph(),
+        extra in proptest::collection::vec((any::<bool>(), 0u8..8, 0u8..8), 24..32),
+        promote in 1usize..24,
+        pick in any::<usize>(),
+    ) {
+        // Ballast: 64 derived rows, so the delta run has room to stack
+        // (a one-row delivery stays under 64 / FOLD_DIVISOR) before it
+        // folds; every delivery adds one ballast row, so the run crosses
+        // the fold threshold within the sequence.
+        let (mut store, rb) = build(&g);
+        let ty = Term::iri(vocab::rdf::TYPE);
+        let sub = Term::iri(vocab::rdfs::SUB_CLASS_OF);
+        let ballast = |i: usize| Term::iri(format!("http://ex.org/b{i}"));
+        let (b0, b1) = (Term::iri("http://ex.org/Ballast0"), Term::iri("http://ex.org/Ballast1"));
+        store.insert("m", &b0, &sub, &b1).unwrap();
+        for i in 0..64 {
+            store.insert("m", &ballast(i), &ty, &b0).unwrap();
+        }
+        let mut m = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
+        let (mut stacked, mut folds) = (0, 0);
+        for (step, &(with_random, a, b)) in extra.iter().enumerate() {
+            let mut facts = vec![(ballast(64 + step), ty.clone(), b0.clone())];
+            // The first delivery is the ballast row alone, so the run
+            // stacks at least once.
+            if with_random && step > 0 {
+                facts.push(if a % 2 == 0 {
+                    (class(a), sub.clone(), class(b))
+                } else {
+                    (inst(a % 6), ty.clone(), class(b))
+                });
+            }
+            // One delivery asserts a triple the index derived: a tombstone
+            // must hide it from the index.
+            let promoted = (step == promote).then(|| {
+                let rows: Vec<Triple> = m.derived().iter().collect();
+                rows[pick % rows.len()]
+            });
+            if let Some(t) = promoted {
+                let (s, p, o) = store.decode(t).unwrap();
+                facts.push((s.clone(), p.clone(), o.clone()));
+            }
+            let mut new_encoded = Vec::new();
+            for (s, p, o) in &facts {
+                if store.insert("m", s, p, o).unwrap() {
+                    new_encoded.push(Triple::new(
+                        store.encode(s).unwrap(),
+                        store.encode(p).unwrap(),
+                        store.encode(o).unwrap(),
+                    ));
+                }
+            }
+            let was_stacked = m.derived().is_stacked();
+            m.extend(&store.model("m").unwrap().freeze(), &rb, store.dict(), &new_encoded);
+            let derived = m.derived();
+            prop_assert!(derived.deltas().len() <= 1, "stack depth {}", derived.deltas().len());
+            if derived.is_stacked() {
+                stacked += 1;
+                let run = &derived.deltas()[0];
+                prop_assert!(run.ops() * FOLD_DIVISOR <= derived.index().len());
+            } else if was_stacked {
+                folds += 1;
+            }
+            if let Some(t) = promoted {
+                prop_assert!(!derived.contains(t), "asserted triple still in the index");
+            }
+            let full = Materialization::materialize(&store.model("m").unwrap().freeze(), &rb, store.dict());
+            let inc: Vec<Triple> = derived.iter().collect();
+            let fl: Vec<Triple> = full.derived().iter().collect();
+            prop_assert_eq!(m.stats().derived, inc.len());
+            prop_assert_eq!(inc, fl, "diverged after delivery {}", step);
+        }
+        prop_assert!(stacked > 0 && folds > 0, "stacked {} times, folded {} times", stacked, folds);
     }
 }

@@ -249,7 +249,7 @@ impl SemMatch {
         match (&self.rulebase, entailments) {
             (None, _) => execute_explained(&query, graph, store.dict(), budget, par, use_planner),
             (Some(_), Some(m)) => {
-                let view = EntailedGraph::new(graph, m.frozen());
+                let view = EntailedGraph::new(graph, m.derived());
                 execute_explained(&query, &view, store.dict(), budget, par, use_planner)
             }
             (Some(rb), None) => Err(SparqlError::Semantic(format!(

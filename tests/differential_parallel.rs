@@ -189,6 +189,14 @@ proptest! {
 /// fan-in, so every query path (search scan, lineage frontier, SPARQL leaf
 /// scan) has enough rows to split across 8 workers.
 fn chained_warehouse() -> MetadataWarehouse {
+    let mut w = MetadataWarehouse::new();
+    w.ingest(vec![Extract::new("pin", chained_triples())]).unwrap();
+    w.build_semantic_index().unwrap();
+    w
+}
+
+/// The triples of [`chained_warehouse`].
+fn chained_triples() -> Vec<(Term, Term, Term)> {
     let mut triples = Vec::new();
     let ty = Term::iri(vocab::rdf::TYPE);
     let has_name = Term::iri(vocab::cs::HAS_NAME);
@@ -212,9 +220,36 @@ fn chained_warehouse() -> MetadataWarehouse {
         // Fan-in: every stage-1 item also feeds the hub.
         triples.push((node(1, i), mapped.clone(), hub.clone()));
     }
+    triples
+}
+
+/// The pinned landscape under a class hierarchy (181 derived types), whose
+/// entailment index a later delivery extended: one new stage-1 item fed
+/// from `s0_item3` through a reified mapping with a rule condition. The
+/// delivery derives one row, so the derived side is a base plus one delta
+/// run, and search and lineage read it through merged scans.
+fn stacked_warehouse() -> MetadataWarehouse {
+    let ty = Term::iri(vocab::rdf::TYPE);
+    let sub = Term::iri(vocab::rdfs::SUB_CLASS_OF);
+    let class = |c: &str| Term::iri(format!("http://ex.org/{c}"));
+    let mut triples = chained_triples();
+    for stage in 0..3 {
+        triples.push((class(&format!("Class{stage}")), sub.clone(), class("Item")));
+    }
     let mut w = MetadataWarehouse::new();
     w.ingest(vec![Extract::new("pin", triples)]).unwrap();
     w.build_semantic_index().unwrap();
+    let late = Term::iri("http://ex.org/s1_late");
+    let mapping = Term::iri("http://ex.org/map_late");
+    let delivery = vec![
+        (late.clone(), ty.clone(), class("Class1")),
+        (late.clone(), Term::iri(vocab::cs::HAS_NAME), Term::plain("item_late")),
+        (Term::iri("http://ex.org/s0_item3"), Term::iri(vocab::cs::IS_MAPPED_TO), late.clone()),
+        (mapping.clone(), Term::iri(vocab::cs::MAPS_FROM), Term::iri("http://ex.org/s0_item3")),
+        (mapping.clone(), Term::iri(vocab::cs::MAPS_TO), late),
+        (mapping, Term::iri(vocab::cs::RULE_CONDITION), Term::plain("late delivery")),
+    ];
+    w.resync(Extract::new("late", delivery)).unwrap();
     w
 }
 
@@ -375,4 +410,37 @@ fn env_thread_count_matches_sequential_baseline() {
         ),
     );
     assert_eq!(got, baseline);
+}
+
+/// The matrix entry point over a stacked entailment index: search and
+/// lineage (rule-filtered too) at the env-derived policy and at 2/3/8
+/// threads agree with the sequential baseline, and see the delivery.
+#[test]
+fn stacked_index_matches_sequential_baseline() {
+    let mut w = stacked_warehouse();
+    assert!(w.entailed().unwrap().derived().is_stacked());
+    let start = || Term::iri("http://ex.org/s0_item3");
+    let answers = |w: &MetadataWarehouse| {
+        let lineage = w.lineage(&LineageRequest::downstream(start())).unwrap();
+        let filtered = LineageRequest::downstream(start()).with_rule_filter("late");
+        let filtered = w.lineage(&filtered).unwrap();
+        (
+            format!("{:?}", w.search(&SearchRequest::new("item")).unwrap()),
+            format!("{lineage:?}"),
+            format!("{filtered:?}"),
+            filtered.endpoints.len(),
+        )
+    };
+
+    w.set_parallelism(ParallelPolicy::new(1));
+    let baseline = answers(&w);
+    assert!(baseline.1.contains("late delivery"));
+    assert_eq!(baseline.3, 1, "the rule filter keeps exactly the delivered edge");
+
+    w.set_parallelism(ParallelPolicy::from_env().with_min_partition_rows(1));
+    assert_eq!(answers(&w), baseline);
+    for threads in THREADS {
+        w.set_parallelism(policy(threads));
+        assert_eq!(answers(&w), baseline, "diverged at {threads} threads");
+    }
 }
