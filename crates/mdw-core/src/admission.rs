@@ -1,7 +1,9 @@
 //! Admission control: the warehouse's front door under load.
 //!
 //! Budgets ([`mdw_rdf::budget`]) bound what one query may consume; admission
-//! control bounds how many queries run at once. The paper's services sit in
+//! control bounds how many queries run at once. The serving layer applies
+//! it, one [`AdmissionController`] per tenant; the warehouse itself admits
+//! every call it gets. The paper's services sit in
 //! front of a shared graph that "heavy traffic from millions of users"
 //! (ROADMAP north star) can easily melt, so the gate:
 //!

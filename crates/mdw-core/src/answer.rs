@@ -22,7 +22,7 @@
 //!    beats a cheaper partial one, and the final text tiebreak makes the
 //!    order total and deterministic.
 //! 4. **Execute** — [`crate::warehouse::MetadataWarehouse::answer`] runs the
-//!    top-k candidates through the existing planner/budget/admission stack
+//!    top-k candidates through the existing planner/budget stack
 //!    and pools their rows, in rank order, into deduplicated answers tagged
 //!    with the generating query and its `ExplainReport`.
 //!

@@ -33,15 +33,14 @@ use mdw_rdf::{GraphStats, QueryContext};
 use mdw_reason::{EntailedGraph, Materialization, MaterializeStats, Rulebase};
 use mdw_sparql::{ExplainReport, QueryOutput, SemMatch};
 
-use crate::admission::{
-    AdmissionConfig, AdmissionController, AdmissionStats, BreakerConfig, BreakerState,
-    CircuitBreaker, Permit, QueryClass,
-};
+use crate::admission::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::assist::{self, SourceCandidates};
 use crate::error::MdwError;
 use crate::governance::{self, AccessReport, GovernanceGaps};
 use crate::history::{History, VersionDiff, VersionRecord};
-use crate::ingest::{ingest, ingest_resilient, Extract, IngestReport, ResilientIngestReport};
+use crate::ingest::{
+    ingest, ingest_resilient, Extract, ExtractStatus, IngestReport, ResilientIngestReport,
+};
 use crate::lineage::{self, FlowRow, Hop, ImpactSummary, LineageRequest, LineageResult};
 use crate::model::{census, Census};
 use crate::search::{self, SearchRequest, SearchResults};
@@ -170,7 +169,6 @@ pub struct MetadataWarehouse {
     synonyms: SynonymTable,
     history: History,
     sources: SourceRegistry,
-    admission: Option<AdmissionController>,
     breaker: Option<CircuitBreaker>,
     /// Worker-thread policy attached to every [`QueryContext`] this
     /// warehouse hands out; sequential unless configured.
@@ -258,7 +256,6 @@ impl MetadataWarehouse {
             synonyms: SynonymTable::banking(),
             history: History::new(),
             sources: SourceRegistry::new(),
-            admission: None,
             breaker: None,
             parallelism: ParallelPolicy::sequential(),
             planner: PlannerCounters::default(),
@@ -353,7 +350,11 @@ impl MetadataWarehouse {
             wrote = true;
             sources.record_additive(source, triples.iter().copied());
         });
-        self.after_bulk_load(result.is_ok(), wrote);
+        let changed = match &result {
+            Ok(report) => report.load.loaded > 0,
+            Err(_) => wrote,
+        };
+        self.after_bulk_load(changed);
         result
     }
 
@@ -374,17 +375,28 @@ impl MetadataWarehouse {
             sources.record_additive(source, triples.iter().copied());
         };
         let result = ingest_resilient(&self.lsm, &self.model, extracts, policy, clock, committed);
-        self.after_bulk_load(result.is_ok(), wrote);
+        let changed = match &result {
+            // A failed attempt may have committed batches before it failed;
+            // its extract's count (of the retry, or 0 when quarantined)
+            // does not show them.
+            Ok(report) => {
+                report.loaded() > 0
+                    || (wrote && report.outcomes.iter().any(|o| o.status != ExtractStatus::Loaded))
+            }
+            Err(_) => wrote,
+        };
+        self.after_bulk_load(changed);
         result
     }
 
-    /// The common tail of the bulk loaders: drop the semantic index if
-    /// the graph may have changed, checkpoint the load, and repin.
-    fn after_bulk_load(&mut self, succeeded: bool, wrote: bool) {
-        if succeeded || wrote {
+    /// The common tail of the bulk loaders: when the load inserted
+    /// something (or failed after committing a batch), drop the semantic
+    /// index, since new facts may entail new triples, and checkpoint the
+    /// load; then repin. A load of nothing but duplicates keeps both the
+    /// index and the published generation.
+    fn after_bulk_load(&mut self, changed: bool) {
+        if changed {
             self.materialization = None;
-        }
-        if wrote {
             // The batches are already durable and visible; the checkpoint
             // only makes the read path scan one solid base. One that fails
             // (say, a full disk while writing the base snapshot) leaves
@@ -555,23 +567,6 @@ impl MetadataWarehouse {
         Arc::new(self)
     }
 
-    /// Puts an admission gate in front of the query entry points: beyond
-    /// the configured concurrency and queue bounds, queries are shed with
-    /// a typed [`MdwError::Overloaded`] instead of piling up.
-    pub fn enable_admission(&mut self, config: AdmissionConfig) {
-        self.admission = Some(AdmissionController::new(config));
-    }
-
-    /// The admission gate, when enabled.
-    pub fn admission(&self) -> Option<&AdmissionController> {
-        self.admission.as_ref()
-    }
-
-    /// Admission counters (admitted/shed per class), when the gate is on.
-    pub fn admission_stats(&self) -> Option<AdmissionStats> {
-        self.admission.as_ref().map(|a| a.stats())
-    }
-
     /// Puts a circuit breaker over the entailment path: when reasoner-backed
     /// queries repeatedly blow their budgets the breaker opens and queries
     /// are served from the base graph alone — flagged degraded — until a
@@ -583,15 +578,6 @@ impl MetadataWarehouse {
     /// The breaker's current state, when one is installed.
     pub fn breaker_state(&self) -> Option<BreakerState> {
         self.breaker.as_ref().map(|b| b.state())
-    }
-
-    /// Acquires a slot from the admission gate (a no-op `None` permit when
-    /// admission is off). Shed requests surface as [`MdwError::Overloaded`].
-    fn admit(&self, class: QueryClass) -> Result<Option<Permit>, MdwError> {
-        match &self.admission {
-            Some(gate) => Ok(Some(gate.admit(class)?)),
-            None => Ok(None),
-        }
     }
 
     fn empty_index() -> &'static FrozenGraph {
@@ -631,10 +617,9 @@ impl MetadataWarehouse {
     }
 
     /// Runs the Section IV.A search. Honors the request's
-    /// [`QueryBudget`](mdw_rdf::budget::QueryBudget), the admission gate, and
-    /// the entailment breaker.
+    /// [`QueryBudget`](mdw_rdf::budget::QueryBudget) and the entailment
+    /// breaker.
     pub fn search(&self, request: &SearchRequest) -> Result<SearchResults, MdwError> {
-        let _permit = self.admit(QueryClass::Search)?;
         let (view, degraded) = self.query_view()?;
         let ctx = self.context().with_budget(request.budget.clone());
         let mut results = search::search(&view, &ctx, &self.synonyms, request);
@@ -644,10 +629,9 @@ impl MetadataWarehouse {
     }
 
     /// Runs the Section IV.B lineage traversal. Honors the request's
-    /// [`QueryBudget`](mdw_rdf::budget::QueryBudget), the admission gate, and
-    /// the entailment breaker.
+    /// [`QueryBudget`](mdw_rdf::budget::QueryBudget) and the entailment
+    /// breaker.
     pub fn lineage(&self, request: &LineageRequest) -> Result<LineageResult, MdwError> {
-        let _permit = self.admit(QueryClass::Lineage)?;
         let (view, degraded) = self.query_view()?;
         let ctx = self.context().with_budget(request.budget.clone());
         let mut result = lineage::trace(&view, &ctx, request);
@@ -704,8 +688,8 @@ impl MetadataWarehouse {
 
     /// [`Self::sem_match`] under a [`QueryBudget`]: the executor checks the
     /// budget at bounded intervals and returns a partial result tagged
-    /// `Truncated` instead of running away. Honors the admission gate and
-    /// the entailment breaker — while the breaker is open the query runs
+    /// `Truncated` instead of running away. Honors the entailment
+    /// breaker — while the breaker is open the query runs
     /// without the semantic index and the output is flagged degraded.
     pub fn sem_match_with_budget(
         &self,
@@ -723,21 +707,6 @@ impl MetadataWarehouse {
     /// way the outcome feeds the warehouse's cumulative
     /// [`planner_stats`](Self::planner_stats) counters.
     pub fn sem_match_explained(
-        &self,
-        query: &SemMatch,
-        budget: &QueryBudget,
-        use_planner: bool,
-    ) -> Result<(QueryOutput, ExplainReport), MdwError> {
-        let _permit = self.admit(QueryClass::Sparql)?;
-        self.sem_match_inner(query, budget, use_planner)
-    }
-
-    /// The permit-free execution core shared by [`Self::sem_match_explained`]
-    /// and [`Self::answer`]: candidate queries executed under an `Answer`
-    /// permit must not also contend for `Sparql` slots (one admitted request,
-    /// one permit), but they take the identical breaker / planner / counter
-    /// path.
-    fn sem_match_inner(
         &self,
         query: &SemMatch,
         budget: &QueryBudget,
@@ -776,12 +745,10 @@ impl MetadataWarehouse {
     /// bounded join paths between the matched schema nodes, ranks the
     /// resulting SPARQL candidates by match score × path length ×
     /// cardinality estimate, and executes the top-k through the regular
-    /// planner/budget stack. One `Answer` admission permit covers the whole
-    /// request — planning and every candidate execution — and all phases
-    /// charge the request's single [`QueryBudget`], so truncation verdicts
-    /// are truthful prefixes of the unbudgeted run.
+    /// planner/budget stack. Planning and every candidate execution charge
+    /// the request's single [`QueryBudget`], so truncation verdicts are
+    /// truthful prefixes of the unbudgeted run.
     pub fn answer(&self, request: &crate::answer::AnswerRequest) -> Result<crate::answer::AnswerResult, MdwError> {
-        let _permit = self.admit(QueryClass::Answer)?;
         let (view, degraded) = self.query_view()?;
         let ctx = self.context().with_budget(request.budget.clone());
         let stats = ctx.planner_stats(&self.model)?;
@@ -804,7 +771,7 @@ impl MetadataWarehouse {
             if answered_coverage.is_some_and(|n| c.covered_tokens < n) {
                 break;
             }
-            let (out, report) = self.sem_match_inner(&c.query, &request.budget, true)?;
+            let (out, report) = self.sem_match_explained(&c.query, &request.budget, true)?;
             if let Some(reason) = out.completeness.reason() {
                 truncated = Some(reason);
             }
@@ -894,6 +861,12 @@ mod tests {
 
     fn loaded_warehouse() -> MetadataWarehouse {
         let mut w = MetadataWarehouse::new();
+        w.ingest(fixture_extracts()).unwrap();
+        w.build_semantic_index().unwrap();
+        w
+    }
+
+    fn fixture_extracts() -> Vec<Extract> {
         let ontology = Extract::new(
             "protege",
             vec![
@@ -911,9 +884,74 @@ mod tests {
                 (dwh("partner_id"), Term::iri(vocab::cs::IS_MAPPED_TO), dwh("customer_id")),
             ],
         );
-        w.ingest(vec![ontology, facts]).unwrap();
+        vec![ontology, facts]
+    }
+
+    #[test]
+    fn reingesting_unchanged_extracts_keeps_index_and_generation() {
+        let mut w = loaded_warehouse();
+        let generation = w.published().generation();
+        let report = w.ingest(fixture_extracts()).unwrap();
+        assert_eq!(report.load.loaded, 0);
+        assert_eq!(report.load.duplicates, report.staged);
+        assert!(w.has_semantic_index());
+        assert_eq!(w.published().generation(), generation);
+        assert!(w.search(&SearchRequest::new("customer")).is_ok());
+
+        let clock = mdw_rdf::budget::ManualTime::new();
+        let report =
+            w.ingest_resilient(fixture_extracts(), &RetryPolicy::default(), &clock).unwrap();
+        assert_eq!(report.loaded(), 0);
+        assert!(w.has_semantic_index());
+        assert_eq!(w.published().generation(), generation);
+    }
+
+    #[test]
+    fn quarantine_after_a_committed_batch_still_drops_the_index() {
+        use mdw_rdf::failpoint::{self, FailSpec};
+        let dir = temp_dir("partial-quarantine");
+        let (mut w, _) = MetadataWarehouse::open(&dir).unwrap();
+        w.ingest(fixture_extracts()).unwrap();
         w.build_semantic_index().unwrap();
-        w
+        let before = w.stats().unwrap().edges;
+        let column = dm("Application1_View_Column");
+        let triples = (0..=mdw_rdf::staging::BULK_BATCH_OPS)
+            .map(|i| (dwh(&format!("col{i}")), Term::iri(vocab::rdf::TYPE), column.clone()))
+            .collect();
+        // Two batches; at 50 % with seed 1 the first append passes and
+        // the second fails, so the one attempt commits half the extract.
+        failpoint::arm("journal::append", FailSpec::Probability { pct: 50, seed: 1 });
+        let policy = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+        let clock = mdw_rdf::budget::ManualTime::new();
+        let report =
+            w.ingest_resilient(vec![Extract::new("scanner", triples)], &policy, &clock).unwrap();
+        failpoint::reset();
+        assert_eq!(report.loaded(), 0, "a quarantined extract counts nothing");
+        assert_eq!(w.stats().unwrap().edges, before + mdw_rdf::staging::BULK_BATCH_OPS);
+        assert!(!w.has_semantic_index());
+        drop(w);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn durable_reingest_of_duplicates_rewrites_no_file() {
+        let dir = temp_dir("reingest");
+        let (mut w, _) = MetadataWarehouse::open(&dir).unwrap();
+        w.ingest(fixture_extracts()).unwrap();
+        let listing = || {
+            let mut files: Vec<(String, u64)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .map(|e| (e.file_name().into_string().unwrap(), e.metadata().unwrap().len()))
+                .collect();
+            files.sort();
+            files
+        };
+        let before = listing();
+        w.ingest(fixture_extracts()).unwrap();
+        assert_eq!(listing(), before);
+        drop(w);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -946,7 +984,14 @@ mod tests {
     fn ingest_invalidates_index() {
         let mut w = loaded_warehouse();
         assert!(w.has_semantic_index());
+        // An ingest that inserts nothing leaves the index standing.
         w.ingest(vec![Extract::new("more", vec![])]).unwrap();
+        assert!(w.has_semantic_index());
+        w.ingest(vec![Extract::new(
+            "more",
+            vec![(dwh("account_id"), Term::iri(vocab::cs::HAS_NAME), Term::plain("account_id"))],
+        )])
+        .unwrap();
         assert!(!w.has_semantic_index());
     }
 
@@ -1258,26 +1303,6 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_search_is_shed_with_typed_error() {
-        use std::time::Duration;
-        let mut w = loaded_warehouse();
-        w.enable_admission(AdmissionConfig {
-            max_concurrent: 0,
-            per_class: [0; crate::admission::CLASS_COUNT],
-            max_queued: 0,
-            max_wait: Duration::from_millis(10),
-            retry_after: Duration::from_millis(250),
-        });
-        match w.search(&SearchRequest::new("customer")) {
-            Err(MdwError::Overloaded(o)) => assert_eq!(o.class, QueryClass::Search),
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        let stats = w.admission_stats().unwrap();
-        assert_eq!(stats.total_shed(), 1);
-        assert_eq!(stats.total_admitted(), 0);
-    }
-
-    #[test]
     fn answer_executes_typeof_candidate_from_label() {
         let w = loaded_warehouse();
         // "column" exact-matches the Application1_View_Column label, so the
@@ -1310,27 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_answer_is_shed_with_typed_error() {
-        use std::time::Duration;
-        let mut w = loaded_warehouse();
-        w.enable_admission(AdmissionConfig {
-            max_concurrent: 0,
-            per_class: [0; crate::admission::CLASS_COUNT],
-            max_queued: 0,
-            max_wait: Duration::from_millis(10),
-            retry_after: Duration::from_millis(250),
-        });
-        match w.answer(&crate::answer::AnswerRequest::new("column")) {
-            Err(MdwError::Overloaded(o)) => {
-                assert_eq!(o.class, QueryClass::Answer);
-                assert!(o.retry_after >= Duration::from_millis(250));
-            }
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert_eq!(w.admission_stats().unwrap().total_shed(), 1);
-    }
-
-    #[test]
     fn answer_budget_trips_are_truthful_and_counted() {
         let w = loaded_warehouse();
         let req = crate::answer::AnswerRequest::new("column")
@@ -1338,19 +1342,6 @@ mod tests {
         let result = w.answer(&req).unwrap();
         assert!(!result.completeness.is_complete());
         assert_eq!(w.answer_stats().truncated, 1);
-    }
-
-    #[test]
-    fn admission_permits_release_after_each_query() {
-        let mut w = loaded_warehouse();
-        w.enable_admission(AdmissionConfig::with_quotas(1, 1));
-        for _ in 0..3 {
-            w.search(&SearchRequest::new("customer")).unwrap();
-        }
-        let stats = w.admission_stats().unwrap();
-        assert_eq!(stats.total_admitted(), 3);
-        assert_eq!(stats.total_shed(), 0);
-        assert_eq!(w.admission().unwrap().active(), 0);
     }
 
     #[test]

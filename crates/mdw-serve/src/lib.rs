@@ -16,8 +16,10 @@
 //!   charged *as they leave*, and a tripped budget yields a truthful
 //!   `Truncated` summary, never a silently short answer.
 //! * **Admission is per tenant** ([`tenant`]) — `X-Tenant` maps to a
-//!   bounded FIFO gate; overload sheds `503 + Retry-After` scaled by queue
-//!   depth.
+//!   bounded FIFO gate, the one admission point in front of the warehouse
+//!   (which has no gate of its own); overload sheds `503 + Retry-After`
+//!   scaled by queue depth. The bounded worker queue in front of the
+//!   gates sheds the same way when the workers fall behind.
 //! * **Slow clients cannot park resources** ([`conn`]) — a head-read
 //!   deadline defeats slowloris drip-feeders, a write-stall deadline
 //!   defeats readers that stop reading mid-stream, and idle keep-alive

@@ -327,9 +327,6 @@ impl QueryJob {
             Err(RouteError::BadRequest(msg)) => {
                 return JobResult::Fixed(StagedResponse::error_json(400, &msg));
             }
-            Err(RouteError::Warehouse(MdwError::Overloaded(o))) => {
-                return JobResult::Fixed(overloaded(state, o.retry_after, &o.to_string()));
-            }
             Err(RouteError::Warehouse(MdwError::NotFound(what))) => {
                 return JobResult::Fixed(StagedResponse::error_json(
                     404,

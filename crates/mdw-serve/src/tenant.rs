@@ -3,9 +3,11 @@
 //!
 //! The paper's warehouse serves many consuming applications (SODA-style
 //! search frontends, lineage tools, ad-hoc SPARQL) that must not starve
-//! each other. The warehouse-internal gate protects the *process*; these
-//! gates partition that capacity per `X-Tenant`, so one chatty tenant sheds
-//! against its own quota while the others keep flowing. Tenants inherit a
+//! each other. The worker pool and its bounded queue (the storm valve in
+//! [`crate::server`]) protect the *process*; these gates are the only
+//! admission point in front of the warehouse, and they partition that
+//! capacity per `X-Tenant`, so one chatty tenant sheds against its own
+//! quota while the others keep flowing. Tenants inherit a
 //! single configured quota shape; unknown tenants are lazily admitted with
 //! the same shape rather than rejected — metadata consumers come and go.
 

@@ -250,18 +250,25 @@ fn zero_quota_sheds_with_scaled_retry_after() {
         }),
         ..test_config()
     });
-    let (outcome, raw) = drive(&state, &get_request("/search?q=client", &[]));
-    assert_eq!(outcome, ConnOutcome::Served);
-    let resp = parse_response(&raw).unwrap();
-    assert_eq!(resp.status, 503);
-    assert!(resp.complete_frame);
-    assert!(resp.retry_after_secs().is_some_and(|s| s >= 1));
-    assert!(resp.body.contains("retry_after_ms"));
-    assert_eq!(
-        state.counters.sheds.load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
-    assert_nothing_leaked(&state);
+    let requests = [
+        get_request("/search?q=client", &[]),
+        "POST /answer?q=customer%20report HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n"
+            .to_string(),
+    ];
+    for (i, request) in requests.iter().enumerate() {
+        let (outcome, raw) = drive(&state, request);
+        assert_eq!(outcome, ConnOutcome::Served);
+        let resp = parse_response(&raw).unwrap();
+        assert_eq!(resp.status, 503, "{request}");
+        assert!(resp.complete_frame, "{request}");
+        assert!(resp.retry_after_secs().is_some_and(|s| s >= 1), "{request}");
+        assert!(resp.body.contains("retry_after_ms"), "{request}");
+        assert_eq!(
+            state.counters.sheds.load(std::sync::atomic::Ordering::Relaxed),
+            i as u64 + 1
+        );
+        assert_nothing_leaked(&state);
+    }
 }
 
 #[test]

@@ -685,8 +685,7 @@ impl<'a> Executor<'a> {
         };
         match unit {
             ResolvedUnit::Triple(rt) => {
-                let pat = rt.to_pattern(&binding);
-                let matches: Vec<_> = self.source.scan_pattern(pat).collect();
+                let scan = self.source.scan_pattern(rt.to_pattern(&binding));
                 if rest.is_empty() && cap.is_none() && self.par.is_parallel() && !self.is_tripped()
                 {
                     // Leaf scan+filter: the last unit's matches only extend
@@ -697,6 +696,7 @@ impl<'a> Executor<'a> {
                     // one step per match and evaluates pushed filters
                     // (regex caches are not Sync) — rows, row order, and
                     // verdicts bit-identical to the sequential loop.
+                    let matches: Vec<_> = scan.collect();
                     let budget = self.budget;
                     let seed = &binding;
                     let chunks = mdw_rdf::par::map_chunks(&self.par, &matches, |chunk| {
@@ -734,7 +734,9 @@ impl<'a> Executor<'a> {
                         }
                     }
                 } else {
-                    for t in matches {
+                    // Sequential nested loop: iterate the scan lazily, so a
+                    // LIMIT cap or a budget trip stops reading it.
+                    for t in scan {
                         if !self.charge() || cap_reached(out.len(), cap) {
                             break;
                         }

@@ -24,7 +24,6 @@ use metadata_warehouse::core::admission::AdmissionConfig;
 use metadata_warehouse::core::answer::AnswerRequest;
 use metadata_warehouse::rdf::budget::{Completeness, MonotonicTime, QueryBudget};
 use metadata_warehouse::rdf::ParallelPolicy;
-use metadata_warehouse::core::error::MdwError;
 use metadata_warehouse::core::governance::render_access;
 use metadata_warehouse::core::lineage::LineageRequest;
 use metadata_warehouse::core::model::Area;
@@ -73,7 +72,7 @@ const USAGE: &str = "usage:
                 [--workers N] [--deadline-ms MS] [--drain-grace-ms MS]
                 [--no-admission]
   mdwh drill overload [--store DIR] [--threads N] [--requests N] [--quota N]
-                      [--expect-shed]
+                      [--deadline-ms MS] [--expect-shed]
   mdwh drill overload --writer-race [--threads N] [--writes N]
   mdwh drill wire [--addr HOST:PORT] [--connections N] [--requests N]
                   [--quota N] [--tenants N] [--max-conns N] [--deadline-ms MS]
@@ -673,150 +672,31 @@ fn parse_or<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> Result<
     }
 }
 
-/// The overload drill: hammer one warehouse from many threads with a mixed
-/// search/lineage/sparql/answer load behind a deliberately small admission
-/// gate,
-/// then report latency percentiles and the shed rate. Every request either
-/// completes (possibly truncated by its deadline) or is shed with a typed
-/// `Overloaded` — the drill fails if anything panics or errors otherwise.
+/// The overload drill: the wire drill's mixed search/lineage/sparql/answer
+/// load from `--threads` keep-alive connections (one tenant) against an
+/// in-process server whose per-tenant gate is forced low (`--quota`,
+/// default 2, no wait queue), with a short per-request deadline
+/// (`--deadline-ms`, default 50). Every request either completes (possibly
+/// truncated by its deadline) or is shed as a complete 503 frame with
+/// `Retry-After` — the drill fails on anything else.
 fn drill_overload(args: &Args) -> Result<(), String> {
     if args.flag("writer-race") {
         return drill_writer_race(args);
     }
-    let threads: usize = parse_or(args, "threads", 8)?;
-    let requests: usize = parse_or(args, "requests", 32)?;
-    let quota: usize = parse_or(args, "quota", 2)?;
-    let deadline_ms: u64 = parse_or(args, "deadline-ms", 50)?;
-
-    let mut warehouse = drill_warehouse(args)?;
-    warehouse.enable_admission(AdmissionConfig {
-        max_queued: 0,
-        max_wait: Duration::ZERO,
-        ..AdmissionConfig::with_quotas(quota, quota)
-    });
-
-    eprintln!(
-        "overload drill: {threads} thread(s) × {requests} request(s), \
-         concurrency quota {quota}, per-request deadline {deadline_ms} ms"
-    );
-
-    let warehouse = &warehouse;
-    // All workers start together: the first wave alone oversubscribes the
-    // quota, so a forced-low gate sheds deterministically.
-    let start = &std::sync::Barrier::new(threads);
-    let mut latencies_us: Vec<u64> = Vec::new();
-    let mut retry_after_ms: Vec<u64> = Vec::new();
-    let mut errors: Vec<String> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(requests);
-                    let mut retries = Vec::new();
-                    let mut errs = Vec::new();
-                    start.wait();
-                    for i in 0..requests {
-                        let budget = QueryBudget::unlimited().with_deadline(
-                            Duration::from_millis(deadline_ms),
-                            Arc::new(MonotonicTime::new()),
-                        );
-                        let started = std::time::Instant::now();
-                        let outcome: Result<(), MdwError> = match (t + i) % 4 {
-                            0 => warehouse
-                                .search(&SearchRequest::new("client").with_budget(budget))
-                                .map(|_| ()),
-                            1 => warehouse
-                                .lineage(
-                                    &LineageRequest::downstream(resolve_item("dwh_stage0_item0"))
-                                        .with_budget(budget),
-                                )
-                                .map(|_| ()),
-                            2 => warehouse
-                                .answer(
-                                    &AnswerRequest::new("customer report").with_budget(budget),
-                                )
-                                .map(|_| ()),
-                            // A deliberately heavy cross join: it runs to
-                            // its deadline and comes back truncated, so the
-                            // permit is held long enough to create real
-                            // contention at the gate.
-                            _ => warehouse
-                                .sem_match_with_budget(
-                                    &SemMatch::new("{ ?a ?p ?b . ?c ?q ?d }")
-                                        .rulebase("OWLPRIME")
-                                        .select(&["?a", "?d"]),
-                                    &budget,
-                                )
-                                .map(|_| ()),
-                        };
-                        match outcome {
-                            Ok(()) => lat.push(started.elapsed().as_micros() as u64),
-                            // The shed's back-off hint scales with queue
-                            // depth — collect the distribution.
-                            Err(MdwError::Overloaded(o)) => {
-                                retries.push(o.retry_after.as_millis() as u64);
-                            }
-                            Err(other) => errs.push(other.to_string()),
-                        }
-                    }
-                    (lat, retries, errs)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (lat, retries, errs) = handle.join().expect("drill worker panicked");
-            latencies_us.extend(lat);
-            retry_after_ms.extend(retries);
-            errors.extend(errs);
+    let mut options = vec![
+        ("connections".to_string(), parse_or::<usize>(args, "threads", 8)?.to_string()),
+        ("requests".to_string(), parse_or::<usize>(args, "requests", 32)?.to_string()),
+        ("quota".to_string(), parse_or::<usize>(args, "quota", 2)?.to_string()),
+        ("deadline-ms".to_string(), parse_or::<u64>(args, "deadline-ms", 50)?.to_string()),
+        ("tenants".to_string(), "1".to_string()),
+    ];
+    for key in ["store", "seed"] {
+        if let Some(value) = args.option(key) {
+            options.push((key.to_string(), value.to_string()));
         }
-    });
-
-    let stats = warehouse.admission_stats().expect("admission enabled");
-    latencies_us.sort_unstable();
-    println!("completed: {} request(s)", latencies_us.len());
-    println!(
-        "latency:   p50 {:.1} ms, p99 {:.1} ms",
-        percentile_us(&latencies_us, 50.0) as f64 / 1000.0,
-        percentile_us(&latencies_us, 99.0) as f64 / 1000.0,
-    );
-    println!(
-        "admitted:  {} (search {}, lineage {}, sparql {}, answer {})",
-        stats.total_admitted(),
-        stats.admitted[0],
-        stats.admitted[1],
-        stats.admitted[2],
-        stats.admitted[3],
-    );
-    println!(
-        "shed:      {} (search {}, lineage {}, sparql {}, answer {})",
-        stats.total_shed(),
-        stats.shed[0],
-        stats.shed[1],
-        stats.shed[2],
-        stats.shed[3],
-    );
-    if !retry_after_ms.is_empty() {
-        retry_after_ms.sort_unstable();
-        println!(
-            "retry-after: min {} ms, p50 {} ms, p99 {} ms, max {} ms (over {} shed(s))",
-            retry_after_ms[0],
-            percentile_us(&retry_after_ms, 50.0),
-            percentile_us(&retry_after_ms, 99.0),
-            retry_after_ms[retry_after_ms.len() - 1],
-            retry_after_ms.len(),
-        );
     }
-    if !errors.is_empty() {
-        return Err(format!(
-            "{} request(s) failed with unexpected errors, e.g.: {}",
-            errors.len(),
-            errors[0]
-        ));
-    }
-    if args.flag("expect-shed") && stats.total_shed() == 0 {
-        return Err("expected the gate to shed under forced-low quotas, but shed = 0".to_string());
-    }
-    Ok(())
+    let flags = if args.flag("expect-shed") { vec!["expect-shed".to_string()] } else { Vec::new() };
+    drill_wire(&Args { positional: Vec::new(), options, flags })
 }
 
 /// The writer-race drill: reader threads spin on [`LsmStore::snapshot`]
@@ -1019,6 +899,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The wire drill's request rotation, as (class, method, target): fast
+/// search and lineage, a keyword answer, and a heavy cross join that runs
+/// to its deadline — the long permit holds are what make the gate bite.
+const WIRE_MIX: [(&str, &str, &str); 4] = [
+    ("search", "GET", "/search?q=client"),
+    ("lineage", "GET", "/lineage?item=dwh_stage0_item0"),
+    ("sparql", "GET", "/sparql?query=%7B%20%3Fa%20%3Fp%20%3Fb%20.%20%3Fc%20%3Fq%20%3Fd%20%7D"),
+    ("answer", "POST", "/answer?q=customer%20report"),
+];
+
 /// `mdwh drill wire`: the client-side load drill. Holds `--connections`
 /// keep-alive connections open at once (default 1000) against a server —
 /// an external `--addr`, or an in-process one booted for the drill — and
@@ -1113,9 +1003,9 @@ fn drill_wire(args: &Args) -> Result<(), String> {
     let release = std::sync::Barrier::new(client_threads + 1);
     let mut ok_latencies_us: Vec<u64> = Vec::new();
     let mut truncated = 0u64;
-    let mut sheds = 0u64;
     let mut io_errors = 0u64;
     let mut bad_frames: Vec<String> = Vec::new();
+    let mut by_class = [[0u64; 2]; WIRE_MIX.len()];
     let mut held_rss_kb: Option<u64> = None;
     let mut stats_line: Option<String> = None;
     std::thread::scope(|scope| {
@@ -1124,7 +1014,8 @@ fn drill_wire(args: &Args) -> Result<(), String> {
             .map(|t| {
                 scope.spawn(move || {
                     let mut lat = Vec::new();
-                    let (mut trunc, mut shed, mut io) = (0u64, 0u64, 0u64);
+                    let (mut trunc, mut io) = (0u64, 0u64);
+                    let mut by_class = [[0u64; 2]; WIRE_MIX.len()];
                     let mut bad = Vec::new();
                     // This thread owns every connection index ≡ t (mod
                     // threads); each stays open across all rounds.
@@ -1139,13 +1030,13 @@ fn drill_wire(args: &Args) -> Result<(), String> {
                         })
                         .collect();
                     start.wait();
-                    for _ in 0..requests {
+                    for round in 0..requests {
                         // Pipelined round: SEND on every connection first so
                         // the server faces the whole storm at once, then
                         // collect one frame per connection. This is what
                         // makes 10k connections mean 10k concurrent
                         // requests, not (client threads) of them.
-                        let mut sent_at: Vec<Option<std::time::Instant>> =
+                        let mut sent_at: Vec<Option<(std::time::Instant, usize)>> =
                             vec![None; conns.len()];
                         for (i, (c, slot)) in conns.iter_mut().enumerate() {
                             let Some(conn) = slot else { continue };
@@ -1153,17 +1044,13 @@ fn drill_wire(args: &Args) -> Result<(), String> {
                                 ("X-Tenant", format!("tenant{}", *c % tenants)),
                                 ("X-Deadline-Ms", deadline_ms.to_string()),
                             ];
-                            // The overload drill's mix: fast search and
-                            // lineage plus a heavy cross join that runs to
-                            // its deadline — the long permit holds are what
-                            // make the gate bite.
-                            let target = match *c % 3 {
-                                0 => "/search?q=client",
-                                1 => "/lineage?item=dwh_stage0_item0",
-                                _ => "/sparql?query=%7B%20%3Fa%20%3Fp%20%3Fb%20.%20%3Fc%20%3Fq%20%3Fd%20%7D",
-                            };
-                            match conn.send("GET", target, &headers) {
-                                Ok(()) => sent_at[i] = Some(std::time::Instant::now()),
+                            let class = (*c + round) % WIRE_MIX.len();
+                            let (_, method, target) = WIRE_MIX[class];
+                            match conn.send(method, target, &headers) {
+                                Ok(()) => {
+                                    sent_at[i] = Some((std::time::Instant::now(), class));
+                                    by_class[class][0] += 1;
+                                }
                                 Err(client::WireError::Io(_)) => {
                                     io += 1;
                                     *slot = None;
@@ -1176,7 +1063,7 @@ fn drill_wire(args: &Args) -> Result<(), String> {
                         }
                         for (i, (_c, slot)) in conns.iter_mut().enumerate() {
                             let Some(conn) = slot else { continue };
-                            let Some(begun) = sent_at[i] else { continue };
+                            let Some((begun, class)) = sent_at[i] else { continue };
                             match conn.read_frame() {
                                 Ok(resp) if resp.status == 200 && resp.answer_complete() => {
                                     lat.push(begun.elapsed().as_micros() as u64);
@@ -1187,7 +1074,9 @@ fn drill_wire(args: &Args) -> Result<(), String> {
                                     trunc += 1;
                                     lat.push(begun.elapsed().as_micros() as u64);
                                 }
-                                Ok(resp) if resp.status == 503 && resp.complete_frame => shed += 1,
+                                Ok(resp) if resp.status == 503 && resp.complete_frame => {
+                                    by_class[class][1] += 1;
+                                }
                                 Ok(resp) => bad.push(format!(
                                     "status {} complete_frame {}",
                                     resp.status, resp.complete_frame
@@ -1206,7 +1095,7 @@ fn drill_wire(args: &Args) -> Result<(), String> {
                     rounds_done.wait();
                     release.wait();
                     drop(conns);
-                    (lat, trunc, shed, io, bad)
+                    (lat, trunc, io, bad, by_class)
                 })
             })
             .collect();
@@ -1221,12 +1110,15 @@ fn drill_wire(args: &Args) -> Result<(), String> {
             .map(|resp| resp.body.trim().to_string());
         release.wait();
         for worker in workers {
-            let (lat, trunc, shed, io, bad) = worker.join().expect("wire worker panicked");
+            let (lat, trunc, io, bad, classes) = worker.join().expect("wire worker panicked");
             ok_latencies_us.extend(lat);
             truncated += trunc;
-            sheds += shed;
             io_errors += io;
             bad_frames.extend(bad);
+            for (total, counts) in by_class.iter_mut().zip(classes) {
+                total[0] += counts[0];
+                total[1] += counts[1];
+            }
         }
     });
 
@@ -1243,7 +1135,14 @@ fn drill_wire(args: &Args) -> Result<(), String> {
         percentile_us(&ok_latencies_us, 50.0) as f64 / 1000.0,
         percentile_us(&ok_latencies_us, 99.0) as f64 / 1000.0,
     );
+    let sheds: u64 = by_class.iter().map(|[_, shed]| shed).sum();
     println!("shed:      {sheds} (503 + Retry-After)");
+    let classes: Vec<String> = WIRE_MIX
+        .iter()
+        .zip(by_class)
+        .map(|((name, _, _), [sent, shed])| format!("{name} {sent} ({shed} shed)"))
+        .collect();
+    println!("by class:  {}", classes.join(", "));
     println!("io errors: {io_errors} (connect/read failures at the socket)");
     if let Some(rss_kb) = held_rss_kb {
         println!(
